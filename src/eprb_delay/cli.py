@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Any, get_args
 
 import numpy as np
 
@@ -22,46 +23,137 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-KNOWN_CONFIG_KEYS = {
-    "gamma",
-    "tau_seconds",
-    "mu_per_second",
-    "duration_seconds",
-    "samples_per_tau",
-    "seed",
-    "seeds",
-    "pair_rate_per_second",
-    "coincidence_window_seconds",
-    "beta_policy",
-    "beta_fixed_rad",
-    "detector_efficiency",
-    "accidental_rate_per_second",
-    "out_dir",
+_REQUIRED = object()
+
+# alt-flag unit -> (help text, conversion of the flag value x to SI given tau)
+_UNITS = {
+    "rate": ("{key} times tau", lambda x, tau: x / tau),
+    "time": ("{key} over tau", lambda x, tau: x * tau),
+    "length": ("station separation L in metres; {key} = L / c",
+               lambda x, tau: x / ex.SPEED_OF_LIGHT),
 }
+
+
+@dataclass(frozen=True)
+class Param:
+    """One run parameter of ``simulate``.
+
+    ``key`` names it, in SI units, in the config file, in resolved_config.json
+    and in the ``config`` block of tags.csv.meta.json.  ``field`` is its
+    ExperimentConfig field, None for a key of the run itself.  ``flag`` takes
+    the SI value, ``alt_flag`` the value in the ``unit`` of ``_UNITS``.
+    ``default`` is given only where ExperimentConfig has none; a parameter
+    with no default is required.  ``echo`` names the ExperimentConfig
+    attribute recorded in place of ``field``; ``recorded`` False keeps the
+    key out of resolved_config.json.
+    """
+
+    key: str
+    field: str | None
+    flag: str | None = None
+    alt_flag: str | None = None
+    unit: str | None = None
+    type: type = float
+    choices: tuple = ()
+    default: Any = _REQUIRED
+    echo: str | None = None
+    recorded: bool = True
+
+
+_TAU = Param("tau_seconds", "tau", "--tau-seconds", "--length-m", "length", default=1.0)
+
+# resolved in this order: tau first, since the alt flags convert with it
+SIMULATE = (
+    _TAU,
+    Param("gamma", "gamma", "--gamma"),
+    Param("mu_per_second", "mu", "--mu", "--mu-tau", "rate", default=0.0),
+    Param("duration_seconds", "duration", "--duration", "--duration-tau", "time"),
+    Param("samples_per_tau", "samples_per_tau", "--samples-per-tau", type=int),
+    Param("seed", "seed", "--seed", type=int, default=0),
+    Param("seeds", None, "--seeds", type=int, default=1),
+    Param("pair_rate_per_second", "pair_rate", alt_flag="--pair-rate-tau", unit="rate"),
+    Param("coincidence_window_seconds", "coincidence_window", alt_flag="--window-tau",
+          unit="time", echo="window"),
+    Param("beta_policy", "beta_policy", "--beta-policy", type=str,
+          choices=get_args(ex.BetaPolicy)),
+    Param("beta_fixed_rad", "beta_fixed", "--beta-fixed"),
+    Param("detector_efficiency", "detector_efficiency", "--efficiency"),
+    Param("accidental_rate_per_second", "accidental_rate", alt_flag="--accidental-rate-tau",
+          unit="rate"),
+    # artifacts do not depend on where they are written
+    Param("out_dir", None, "--out", type=str, recorded=False),
+)
+
+_FIELD_DEFAULTS = {
+    f.name: f.default for f in fields(ex.ExperimentConfig) if f.default is not MISSING
+}
+
+
+def _default(p: Param):
+    return p.default if p.default is not _REQUIRED else _FIELD_DEFAULTS.get(p.field, _REQUIRED)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_flags(q: argparse.ArgumentParser, params) -> None:
+    for p in params:
+        if p.flag:
+            q.add_argument(p.flag, type=p.type, choices=p.choices or None,
+                           help=f"config key {p.key}")
+        if p.alt_flag:
+            q.add_argument(p.alt_flag, type=float, help=_UNITS[p.unit][0].format(key=p.key))
+
+
+def _typed(p: Param, value):
+    """A config-file value checked against its row: the row's type (an int
+    is a valid float), one of its choices, or null where the default is."""
+    if value is None and _default(p) is None:
+        return None
+    if p.choices:
+        ok = value in p.choices
+    elif p.type is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is p.type
+    if not ok:
+        expected = f"one of {p.choices}" if p.choices else p.type.__name__
+        raise ConfigError(f"config key {p.key} must be {expected}, got {value!r}")
+    return p.type(value)
 
 
 def load_run_config(path: Path) -> dict:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - KNOWN_CONFIG_KEYS
+    params = {p.key: p for p in SIMULATE}
+    unknown = set(data) - set(params)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return data
+    return {key: _typed(params[key], value) for key, value in data.items()}
 
 
-def _resolve_tau(args) -> float:
-    has_tau = getattr(args, "tau_seconds", None) is not None
-    has_len = getattr(args, "length_m", None) is not None
-    if has_tau and has_len:
-        raise ConfigError("give either --tau-seconds or --length-m, not both")
-    if has_len:
-        return args.length_m / ex.SPEED_OF_LIGHT
-    return args.tau_seconds if has_tau else 1.0
+def _resolve(p: Param, args, config: dict, tau: float | None):
+    """An explicit flag, else the config file, else the default."""
+    given = [f for f in (p.flag, p.alt_flag) if f and getattr(args, _dest(f)) is not None]
+    if len(given) > 1:
+        raise ConfigError(f"give either {p.flag} or {p.alt_flag}, not both")
+    if given and given[0] == p.alt_flag:
+        return _UNITS[p.unit][1](getattr(args, _dest(p.alt_flag)), tau)
+    if given:
+        return getattr(args, _dest(p.flag))
+    if p.key in config:
+        return config[p.key]
+    default = _default(p)
+    if default is _REQUIRED:
+        flags = " or ".join(f for f in (p.flag, p.alt_flag) if f)
+        raise ConfigError(f"{p.key} required ({flags} or config file)")
+    return default
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -71,10 +163,10 @@ def _write_resolved(out: Path, resolved: dict) -> None:
 
 
 def cmd_step(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     traj = dde.step_trajectory(args.gamma, args.t_end, args.samples_per_tau)
     resp = dde.measure_step_response(traj)
-    tau = _resolve_tau(args)
+    tau = _resolve(_TAU, args, {}, None)
     if tau != 1.0:
         traj = replace(traj, t0=traj.t0 * tau, dt=traj.dt * tau)
     io.write_trajectory_csv(out / "trajectory.csv", traj)
@@ -102,7 +194,7 @@ def cmd_step(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
     rows = dde.gamma_sweep(gammas, args.t_end)
     with (out / "sweep.csv").open("w") as fh:
@@ -124,36 +216,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args, seed: int) -> ex.ExperimentConfig:
-    tau = _resolve_tau(args)
-    mu = args.mu_tau / tau if args.mu_tau is not None else (args.mu or 0.0)
-    duration = args.duration_tau * tau if args.duration_tau is not None else args.duration
-    if duration is None:
-        raise ConfigError("duration required (--duration-tau or --duration-seconds)")
-    window = args.window_tau * tau if args.window_tau is not None else None
-    return ex.ExperimentConfig(
-        gamma=args.gamma,
-        tau=tau,
-        mu=mu,
-        duration=duration,
-        seed=seed,
-        samples_per_tau=args.samples_per_tau,
-        pair_rate=(args.pair_rate_tau / tau if args.pair_rate_tau is not None else None),
-        coincidence_window=window,
-        beta_policy=args.beta_policy,
-        beta_fixed=args.beta_fixed,
-        detector_efficiency=args.efficiency,
-        accidental_rate=(args.accidental_rate_tau / tau if args.accidental_rate_tau else 0.0),
-    )
-
-
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    seeds = list(range(args.seed, args.seed + args.seeds))
+    config = load_run_config(args.config) if args.config else {}
+    values: dict[str, Any] = {}
+    for p in SIMULATE:
+        values[p.key] = _resolve(p, args, config, values.get(_TAU.key))
+    base = ex.ExperimentConfig(**{p.field: values[p.key] for p in SIMULATE if p.field})
+    if values["seeds"] < 1:
+        raise ConfigError("seeds must be >= 1")
+    out = _out_dir(values["out_dir"])
+    seeds = list(range(base.seed, base.seed + values["seeds"]))
     s_values = []
     for seed in seeds:
-        cfg = _experiment_config(args, seed)
-        cfg.validate()
+        cfg = replace(base, seed=seed)
         traj = ex.simulate_rho_d(cfg)
         s = ex.s_chsh_ideal(traj)
         s_values.append(s)
@@ -185,33 +260,21 @@ def cmd_simulate(args) -> int:
             "s_chsh_ideal_std": float(np.std(s_values, ddof=1)) if len(s_values) > 1 else 0.0,
         },
     )
-    _write_resolved(out, {"command": "simulate", **_cfg_dict(_experiment_config(args, args.seed))})
+    run_keys = {p.key: values[p.key] for p in SIMULATE if p.field is None and p.recorded}
+    _write_resolved(out, {"command": "simulate", **_cfg_dict(base), **run_keys})
     return EXIT_OK
 
 
 def _cfg_dict(cfg: ex.ExperimentConfig) -> dict:
-    return {
-        "gamma": cfg.gamma,
-        "tau_seconds": cfg.tau,
-        "mu_per_second": cfg.mu,
-        "duration_seconds": cfg.duration,
-        "seed": cfg.seed,
-        "samples_per_tau": cfg.samples_per_tau,
-        "pair_rate_per_second": cfg.pair_rate,
-        "coincidence_window_seconds": cfg.window,
-        "beta_policy": cfg.beta_policy,
-        "beta_fixed_rad": cfg.beta_fixed,
-        "detector_efficiency": cfg.detector_efficiency,
-        "accidental_rate_per_second": cfg.accidental_rate,
-    }
+    return {p.key: getattr(cfg, p.echo or p.field) for p in SIMULATE if p.field}
 
 
 def cmd_spectrum(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     path = Path(args.input)
     if not path.exists():
         raise ConfigError(f"input not found: {path}")
-    tau = _resolve_tau(args)
+    tau = _resolve(_TAU, args, {}, None)
     with path.open() as fh:
         header = fh.readline().strip()
     if header.startswith("t_seconds"):
@@ -260,7 +323,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     tags = io.read_tags_csv(Path(args.tags))
     counts = ex.count_coincidences(tags, args.window)
     est = ex.s_chsh_from_counts(counts)
@@ -292,13 +355,12 @@ def cmd_chsh(args) -> int:
 def cmd_feasibility(args) -> int:
     report = ex.feasibility(args.length_m, args.pair_rate, args.required_pairs_per_tau)
     payload = asdict(report)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        out = _out_dir(args)
-        (out / "feasibility.json").write_text(text + "\n")
+        out = _out_dir(args.out)
+        io.write_json(out / "feasibility.json", payload)
         _write_resolved(out, {"command": "feasibility", "length_m": args.length_m,
                               "pair_rate_per_second": args.pair_rate})
-    print(text)
+    print(io.dumps(payload))
     return EXIT_OK
 
 
@@ -320,7 +382,7 @@ def cmd_concurrence(args) -> int:
         "positive": pos.is_positive,
         "min_eigenvalue": pos.min_eigenvalue,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(io.dumps(payload))
     return EXIT_OK
 
 
@@ -372,16 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_tau(q):
-        q.add_argument("--tau-seconds", type=float, default=None)
-        q.add_argument("--length-m", type=float, default=None,
-                       help="station separation; tau = L / c (exclusive with --tau-seconds)")
-
     q = sub.add_parser("step", help="single setting-change response (ringing)")
     q.add_argument("--gamma", type=float, required=True)
     q.add_argument("--t-end", type=float, default=60.0, help="in units of tau")
     q.add_argument("--samples-per-tau", type=int, default=100)
-    add_tau(q)
+    _add_flags(q, [_TAU])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_step)
 
@@ -394,25 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_sweep)
 
     q = sub.add_parser("simulate", help="stochastic-settings experiment run")
-    q.add_argument("--config", type=Path, default=None)
-    q.add_argument("--gamma", type=float, default=None)
-    q.add_argument("--mu-tau", type=float, default=None, help="coin-toss rate times tau")
-    q.add_argument("--mu", type=float, default=None, help="coin-toss rate per second")
-    q.add_argument("--duration-tau", type=float, default=None)
-    q.add_argument("--duration", dest="duration", type=float, default=None,
-                   help="duration in seconds")
-    q.add_argument("--samples-per-tau", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    q.add_argument("--pair-rate-tau", type=float, default=None, help="pairs per tau")
-    q.add_argument("--window-tau", type=float, default=None)
-    q.add_argument("--beta-policy", choices=["random_per_pair", "fixed"],
-                   default="random_per_pair")
-    q.add_argument("--beta-fixed", type=float, default=ex.BETA_VALUES[0])
-    q.add_argument("--efficiency", type=float, default=1.0)
-    q.add_argument("--accidental-rate-tau", type=float, default=0.0)
-    add_tau(q)
-    q.add_argument("--out", required=True)
+    q.add_argument("--config", type=Path, default=None,
+                   help="JSON object of config keys in SI units; explicit flags win")
+    _add_flags(q, SIMULATE)
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("spectrum", help="power spectrum of a trajectory or tag file")
@@ -423,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--min-prominence", type=float, default=sp.DEFAULT_PROMINENCE)
     q.add_argument("--welch-segments", type=int, default=8)
     q.add_argument("--window-tau", type=float, default=None)
-    add_tau(q)
+    _add_flags(q, [_TAU])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_spectrum)
 
@@ -452,51 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_config_file(args) -> None:
-    if getattr(args, "config", None):
-        data = load_run_config(args.config)
-        mapping = {
-            "gamma": "gamma",
-            "tau_seconds": "tau_seconds",
-            "mu_per_second": "mu",
-            "duration_seconds": "duration",
-            "samples_per_tau": "samples_per_tau",
-            "seed": "seed",
-            "detector_efficiency": "efficiency",
-            "beta_policy": "beta_policy",
-            "beta_fixed_rad": "beta_fixed",
-        }
-        for key, attr in mapping.items():
-            if key in data and getattr(args, attr, None) in (None, parser_default(attr)):
-                setattr(args, attr, data[key])
-        if "pair_rate_per_second" in data and args.pair_rate_tau is None:
-            tau = data.get("tau_seconds", 1.0)
-            args.pair_rate_tau = data["pair_rate_per_second"] * tau
-        if "coincidence_window_seconds" in data and args.window_tau is None:
-            tau = data.get("tau_seconds", 1.0)
-            args.window_tau = data["coincidence_window_seconds"] / tau
-
-
-_PARSER_DEFAULTS = {
-    "efficiency": 1.0,
-    "beta_policy": "random_per_pair",
-    "beta_fixed": ex.BETA_VALUES[0],
-    "samples_per_tau": 100,
-    "seed": 0,
-}
-
-
-def parser_default(attr: str):
-    return _PARSER_DEFAULTS.get(attr)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config_file(args)
-        if getattr(args, "gamma", "unused") is None:
-            raise ConfigError("gamma required (flag or config file)")
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -50,6 +50,8 @@ class DdeParams:
     history_init: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.tau, self.dt, self.history_init))):
+            raise ConfigError("gamma, tau, dt and history_init must be finite")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         if self.tau <= 0 or self.dt <= 0:
@@ -66,13 +68,12 @@ class DdeParams:
 
 @dataclass
 class RhoDTrajectory:
-    """Uniform-grid solution plus the target / complementary-target tracks."""
+    """Uniform-grid solution plus the relaxation-target track."""
 
     t0: float
     dt: float
     rho_d: np.ndarray
     rho_target: np.ndarray
-    rho_no_target: np.ndarray
     diverged: bool = False
 
     @property
@@ -82,6 +83,11 @@ class RhoDTrajectory:
     @property
     def duration(self) -> float:
         return self.dt * (len(self.rho_d) - 1)
+
+    @property
+    def rho_no_target(self) -> np.ndarray:
+        """The complementary target track, 3/4 - target."""
+        return 0.75 - self.rho_target
 
     def deviation(self) -> np.ndarray:
         """rho_d minus the instantaneous relaxation target: the transient
@@ -94,7 +100,6 @@ class StepResponse:
     decay_time: float
     period: float
     diverged: bool
-    n_maxima: int = 0
 
     @property
     def oscillatory(self) -> bool:
@@ -164,16 +169,8 @@ def integrate_dde(
         raise ConfigError("target_fn must return one value per grid time")
     x = _integrate_grid(params.gamma, params.tau, params.dt, params.history_init, target)
     target = target[: n + 1]
-    no_target = 0.75 - target
     diverged = bool(np.max(np.abs(x - target)) > DIVERGENCE_AMPLITUDE)
-    return RhoDTrajectory(
-        t0=0.0,
-        dt=params.dt,
-        rho_d=x,
-        rho_target=target,
-        rho_no_target=no_target,
-        diverged=diverged,
-    )
+    return RhoDTrajectory(t0=0.0, dt=params.dt, rho_d=x, rho_target=target, diverged=diverged)
 
 
 def step_trajectory(
@@ -245,12 +242,7 @@ def measure_step_response(traj: RhoDTrajectory, t_end_required: float = 60.0) ->
         coeff = np.polyfit(t[mask][:2000], np.log(np.abs(x[mask][:2000])), 1)
         slope = coeff[0]
     decay = math.inf if slope >= 0 else -1.0 / slope
-    return StepResponse(
-        decay_time=float(decay),
-        period=period,
-        diverged=diverged,
-        n_maxima=len(tm),
-    )
+    return StepResponse(decay_time=float(decay), period=period, diverged=diverged)
 
 
 def step_response(

@@ -20,7 +20,7 @@ settings / time-tag streams come from independent children of the run seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -54,11 +54,6 @@ class SettingTrajectory:
     alpha0_index: int
     mu: float
     duration: float
-    seed: int | None = None
-
-    @property
-    def events(self) -> list[tuple[float, float]]:
-        return [(float(t), ALPHA_VALUES[i]) for t, i in zip(self.times, self.alpha_indices)]
 
     def index_at(self, t: np.ndarray) -> np.ndarray:
         """Setting-segment index: 0 before the first toss, k after toss k."""
@@ -100,14 +95,12 @@ def generate_settings(mu: float, duration: float, seed) -> SettingTrajectory:
         times = np.concatenate(times_list)
         times = times[times <= duration]
         coins = rng.integers(0, 2, size=len(times))
-    seed_val = seed if isinstance(seed, (int, np.integer)) else None
     return SettingTrajectory(
         times=times,
         alpha_indices=np.asarray(coins, dtype=int),
         alpha0_index=alpha0,
         mu=mu,
         duration=duration,
-        seed=seed_val,
     )
 
 
@@ -143,6 +136,10 @@ class ExperimentConfig:
         return self.tau / self.samples_per_tau
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.gamma <= 0 or self.tau <= 0 or self.duration <= 0:
             raise ConfigError("gamma, tau, duration must be positive")
         if self.mu < 0:
@@ -169,9 +166,7 @@ def _seed_children(seed: int, n: int = 3) -> list[np.random.SeedSequence]:
 
 
 def settings_for(cfg: ExperimentConfig) -> SettingTrajectory:
-    child = _seed_children(cfg.seed)[0]
-    traj = generate_settings(cfg.mu, cfg.duration, child)
-    return replace(traj, seed=cfg.seed)
+    return generate_settings(cfg.mu, cfg.duration, _seed_children(cfg.seed)[0])
 
 
 def simulate_rho_d(cfg: ExperimentConfig) -> RhoDTrajectory:
@@ -250,14 +245,6 @@ def tune_gamma(
     raise ConfigError("bisection failed to reach tolerance")
 
 
-@dataclass(frozen=True)
-class TimeTagRecord:
-    t: float
-    arm: Literal["a", "b"]
-    port: Literal["+", "-"]
-    setting_index: int
-
-
 @dataclass
 class TimeTagData:
     """Column-oriented time-tag stream, sorted by time.
@@ -274,12 +261,6 @@ class TimeTagData:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self):
-        for i in range(len(self.t)):
-            yield TimeTagRecord(
-                float(self.t[i]), str(self.arm[i]), str(self.port[i]), int(self.setting_index[i])
-            )
 
     def is_sorted(self) -> bool:
         return bool(np.all(np.diff(self.t) >= 0))
@@ -516,6 +497,8 @@ def feasibility(
 
     ``samples_per_period`` counts 10-coincidence samples per 4.5 tau period.
     """
+    if not all(map(math.isfinite, (length_m, pair_rate, required_pairs_per_tau))):
+        raise ConfigError("length, pair rate and required pairs per tau must be finite")
     if length_m <= 0:
         raise ConfigError("length must be positive")
     if pair_rate < 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-
+import math
 from pathlib import Path
 from typing import Any
 
@@ -52,14 +52,8 @@ def read_trajectory_csv(path: Path) -> RhoDTrajectory:
     t = np.array([float(r["t"]) for r in rows])
     rho_d = np.array([float(r["rho_d"]) for r in rows])
     rho_target = np.array([float(r["rho_target"]) for r in rows])
-    if "rho_no_target" in rows[0]:
-        rho_no = np.array([float(r["rho_no_target"]) for r in rows])
-    else:
-        rho_no = 0.75 - rho_target
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-    return RhoDTrajectory(
-        t0=float(t[0]), dt=dt, rho_d=rho_d, rho_target=rho_target, rho_no_target=rho_no
-    )
+    return RhoDTrajectory(t0=float(t[0]), dt=dt, rho_d=rho_d, rho_target=rho_target)
 
 
 TAG_HEADER = ["t_seconds", "arm", "port", "setting_index"]
@@ -99,29 +93,37 @@ def read_tags_csv(path: Path) -> TimeTagData:
         header = next(reader, None)
         if header != TAG_HEADER:
             raise ConfigError(f"unexpected tag header in {path}: {header}")
-        rows = list(reader)
-    if not rows:
+        t, arm, port, idx = [], [], [], []
+        for r in reader:
+            t.append(float(r[0]))
+            arm.append(r[1])
+            port.append(r[2])
+            idx.append(int(r[3]))
+    if not t:
         raise InsufficientDataError(f"no time tags in {path}")
-    t = np.array([float(r[0]) for r in rows])
-    arm = np.array([r[1] for r in rows])
-    port = np.array([r[2] for r in rows])
-    idx = np.array([int(r[3]) for r in rows])
-    return TimeTagData(t=t, arm=arm, port=port, setting_index=idx)
+    return TimeTagData(t=np.array(t), arm=np.array(arm), port=np.array(port),
+                       setting_index=np.array(idx))
 
 
 def write_spectrum_csv(path: Path, spectrum: Spectrum, tau_seconds: float = 1.0) -> None:
     """Columns frequency_per_tau, frequency_hz, power; the spectrum's own
-    axis is per tau when the run used tau units."""
+    axis is in Hz, which is per tau when tau_seconds is 1."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frequency_per_tau", "frequency_hz", "power"])
         for f, p in zip(spectrum.frequencies, spectrum.power):
-            w.writerow([_fmt(f), _fmt(f / tau_seconds), _fmt(p)])
+            w.writerow([_fmt(f * tau_seconds), _fmt(f), _fmt(p)])
+
+
+def dumps(payload: dict[str, Any]) -> str:
+    """Strict JSON text: NaN becomes null and infinities the strings
+    "inf" / "-inf", so no bare NaN or Infinity is ever written."""
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_json(path: Path, payload: dict[str, Any]) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(payload) + "\n")
 
 
 def _jsonable(obj):
@@ -131,12 +133,13 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return None if obj != obj else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return None
+        return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
     return obj

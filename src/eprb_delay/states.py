@@ -214,10 +214,6 @@ def make_rho_alpha(alpha: float) -> np.ndarray:
     )
 
 
-def expand(state: FamilyState) -> np.ndarray:
-    return state.expand()
-
-
 def is_positive(state: StateLike, eig_floor: float = POSITIVITY_EIG_FLOOR) -> PositivityResult:
     """Positivity check via the smallest eigenvalue of the dense matrix.
 
@@ -228,10 +224,6 @@ def is_positive(state: StateLike, eig_floor: float = POSITIVITY_EIG_FLOOR) -> Po
         raise ContractViolationError("is_positive requires a Hermitian matrix")
     lo = float(np.linalg.eigvalsh(rho).min())
     return PositivityResult(lo >= eig_floor, lo)
-
-
-def projector_matrix(p: Projector) -> np.ndarray:
-    return p.matrix()
 
 
 def coincidence_probability(

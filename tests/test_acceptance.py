@@ -124,9 +124,7 @@ def test_criterion_3_chsh_tracking_and_fig5():
     tv = target(cfg.dt * np.arange(n + 1))
     from eprb_delay.dde import RhoDTrajectory
 
-    tracking = RhoDTrajectory(
-        t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv, rho_no_target=0.75 - tv
-    )
+    tracking = RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv)
     s_track = ex.s_chsh_ideal(tracking)
     ok = report(
         "3", "perfect tracking gives 2*sqrt(2) to 1e-10",
@@ -360,10 +358,7 @@ def test_criterion_6_probability_identities():
     tv = target(cfg.dt * np.arange(n + 1))
     from eprb_delay.dde import RhoDTrajectory
 
-    traj = RhoDTrajectory(
-        t0=0.0, dt=cfg.dt, rho_d=np.full(n + 1, 0.375), rho_target=tv,
-        rho_no_target=0.75 - tv,
-    )
+    traj = RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=np.full(n + 1, 0.375), rho_target=tv)
     tags = ex.generate_time_tags(cfg, traj, settings)
     est = ex.s_chsh_from_counts(ex.count_coincidences(tags, cfg.window))
     ok &= report(

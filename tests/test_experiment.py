@@ -18,9 +18,7 @@ def tracking_trajectory(cfg, settings):
     tgrid = cfg.dt * np.arange(n + 1)
     target, _ = ex.target_tracks(settings)
     tv = target(tgrid)
-    return RhoDTrajectory(
-        t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv, rho_no_target=0.75 - tv
-    )
+    return RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv)
 
 
 def constant_trajectory(cfg, settings, value):

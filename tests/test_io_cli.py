@@ -41,6 +41,16 @@ class TestIoFormats:
         assert meta["config"]["seed"] == 3
         assert meta["format"]["columns"][0] == "t_seconds"
 
+    def test_json_is_strict(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON")
+
+        path = tmp_path / "x.json"
+        io.write_json(path, {"nan": np.float64("nan"), "inf": np.float64("inf"),
+                             "ninf": -math.inf, "x": np.float64(0.5)})
+        data = json.loads(path.read_text(), parse_constant=reject)
+        assert data == {"nan": None, "inf": "inf", "ninf": "-inf", "x": 0.5}
+
     def test_byte_identical_outputs(self, tmp_path):
         traj = step_trajectory(0.9, 60.0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -193,3 +203,89 @@ class TestCli:
     def test_verify_passes(self, capsys):
         assert cli.main(["verify"]) == 0
         assert "all golden checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--gamma", "nan", "--mu-tau", "0.2", "--duration-tau", "100"],
+    ["simulate", "--gamma", "0.9", "--mu-tau", "nan", "--duration-tau", "100"],
+    ["step", "--gamma", "nan"],
+    ["sweep", "--gamma-min", "nan", "--steps", "2"],
+    ["feasibility", "--length-m", "nan", "--pair-rate", "3e5"],
+])
+def test_non_finite_input_exits_2(tmp_path, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+
+def test_spectrum_csv_units_match_peak(tmp_path):
+    tau = ["--tau-seconds", "1e-5"]
+    sim, spec = tmp_path / "sim", tmp_path / "spec"
+    assert cli.main(["simulate", "--gamma", "0.9", "--mu-tau", "0.2", "--duration-tau", "500",
+                     *tau, "--out", str(sim)]) == 0
+    assert cli.main(["spectrum", "--input", str(sim / "trajectory.csv"), *tau,
+                     "--out", str(spec)]) == 0
+    peak = json.loads((spec / "peak.json").read_text())["peak"]
+    rows = np.loadtxt(spec / "spectrum.csv", delimiter=",", skiprows=1)
+    k = np.argmin(np.abs(rows[:, 0] - peak["frequency_per_tau"]))
+    assert rows[k, 0] == pytest.approx(peak["frequency_per_tau"], rel=0.02)
+    assert rows[k, 1] == pytest.approx(peak["frequency_hz"], rel=0.02)
+
+
+class TestRunConfig:
+    """simulate's config file: SI keys, explicit flags beat it, it beats defaults."""
+
+    BASE = {"gamma": 0.9, "mu_per_second": 0.2, "duration_seconds": 200.0}
+
+    def run(self, tmp_path, config, *flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**self.BASE, **config}))
+        return cli.main(["simulate", "--config", str(path), *map(str, flags)])
+
+    def test_seeds_key_runs_every_seed(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, {"seeds": 3}, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["seeds"] == [0, 1, 2]
+        assert json.loads((out / "resolved_config.json").read_text())["seeds"] == 3
+
+    def test_accidental_rate_key_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        config = {"pair_rate_per_second": 2.0, "accidental_rate_per_second": 0.5}
+        assert self.run(tmp_path, config, "--out", out) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        meta = json.loads((out / "tags.csv.meta.json").read_text())
+        assert resolved["accidental_rate_per_second"] == 0.5
+        assert meta["config"]["accidental_rate_per_second"] == 0.5
+
+    def test_out_dir_key_is_used(self, tmp_path):
+        out = tmp_path / "from_config"
+        assert self.run(tmp_path, {"out_dir": str(out)}) == 0
+        assert (out / "schsh.json").exists()
+
+    def test_explicit_default_valued_flag_beats_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, {"seed": 5}, "--seed", 0, "--out", out) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["seed"] == 0
+        assert json.loads((out / "schsh.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("bad", [{"gamma": "0.9"}, {"seeds": 2.0}, {"gamma": True},
+                                     {"beta_policy": "alternate"}])
+    def test_wrong_typed_value_exits_2(self, tmp_path, bad):
+        assert self.run(tmp_path, bad, "--out", tmp_path / "out") == 2
+
+    def test_resolved_config_round_trips(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert cli.main([
+            "simulate", "--gamma", "0.9", "--mu-tau", "0.2", "--duration-tau", "300",
+            "--seed", "2", "--seeds", "2", "--tau-seconds", "1e-5", "--pair-rate-tau", "3",
+            "--window-tau", "0.02", "--accidental-rate-tau", "0.1", "--efficiency", "0.8",
+            "--out", str(out_a),
+        ]) == 0
+        resolved = json.loads((out_a / "resolved_config.json").read_text())
+        del resolved["command"], resolved["version"]
+        config = tmp_path / "resolved.json"
+        config.write_text(json.dumps({**resolved, "out_dir": str(out_b)}))
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+        assert len(files) == 10
+        assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
+        for name in files:
+            assert read(out_a / name) == read(out_b / name), name
