@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -124,7 +125,10 @@ def _typed(p: Param, value):
 
 
 def load_run_config(path: Path) -> dict:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     params = {p.key: p for p in SIMULATE}
@@ -196,13 +200,7 @@ def cmd_step(args) -> int:
 def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    rows = dde.gamma_sweep(gammas, args.t_end)
-    with (out / "sweep.csv").open("w") as fh:
-        fh.write("gamma,decay_time_tau,period_tau,diverged\n")
-        for r in rows:
-            fh.write(
-                f"{r.gamma!r},{r.decay_time_tau!r},{r.period_tau!r},{int(r.diverged)}\n"
-            )
+    io.write_sweep_csv(out / "sweep.csv", dde.gamma_sweep(gammas, args.t_end))
     _write_resolved(
         out,
         {
@@ -272,23 +270,18 @@ def _cfg_dict(cfg: ex.ExperimentConfig) -> dict:
 def cmd_spectrum(args) -> int:
     out = _out_dir(args.out)
     path = Path(args.input)
-    if not path.exists():
-        raise ConfigError(f"input not found: {path}")
     tau = _resolve(_TAU, args, {}, None)
-    with path.open() as fh:
-        header = fh.readline().strip()
-    if header.startswith("t_seconds"):
-        tags = io.read_tags_csv(path)
+    data = io.read_series_csv(path)
+    if isinstance(data, ex.TimeTagData):
         window = args.window_tau * tau if args.window_tau is not None else tau / 100.0
-        pairs = ex.pair_coincidences(tags, window)
+        pairs = ex.pair_coincidences(data, window)
         series = sp.correlation_series(
-            pairs, args.bin_width_tau * tau, 0.0, float(tags.t[-1])
+            pairs, args.bin_width_tau * tau, 0.0, float(data.t[-1])
         )
         spectrum = sp.welch_spectrum(series, args.welch_segments)
         peak = sp.detect_peak(spectrum, args.min_prominence, smooth_bins=1)
     else:
-        traj = io.read_trajectory_csv(path)
-        series = sp.bin_trajectory(traj, args.bin_width_tau * tau, signal=args.signal)
+        series = sp.bin_trajectory(data, args.bin_width_tau * tau, signal=args.signal)
         spectrum = sp.power_spectrum(series)
         peak = sp.detect_peak(spectrum, args.min_prominence)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum, tau_seconds=tau)
@@ -316,6 +309,8 @@ def cmd_spectrum(args) -> int:
             "bin_width_tau": args.bin_width_tau,
             "signal": args.signal,
             "min_prominence": args.min_prominence,
+            "welch_segments": args.welch_segments,
+            "window_tau": args.window_tau,
             "tau_seconds": tau,
         },
     )
@@ -359,7 +354,8 @@ def cmd_feasibility(args) -> int:
         out = _out_dir(args.out)
         io.write_json(out / "feasibility.json", payload)
         _write_resolved(out, {"command": "feasibility", "length_m": args.length_m,
-                              "pair_rate_per_second": args.pair_rate})
+                              "pair_rate_per_second": args.pair_rate,
+                              "required_pairs_per_tau": args.required_pairs_per_tau})
     print(io.dumps(payload))
     return EXIT_OK
 
@@ -497,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -104,18 +104,6 @@ def generate_settings(mu: float, duration: float, seed) -> SettingTrajectory:
     )
 
 
-def target_tracks(settings: SettingTrajectory):
-    """Step functions of time: the relaxation target and its complement."""
-
-    def rho_target(t):
-        return settings.target_at(t)
-
-    def rho_no_target(t):
-        return 0.75 - settings.target_at(t)
-
-    return rho_target, rho_no_target
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     gamma: float
@@ -174,14 +162,13 @@ def simulate_rho_d(cfg: ExperimentConfig) -> RhoDTrajectory:
     t < 0 equals the initial target, so the run starts on-target."""
     cfg.validate()
     settings = settings_for(cfg)
-    rho_target, _ = target_tracks(settings)
     params = DdeParams(
         gamma=cfg.gamma,
         tau=cfg.tau,
         dt=cfg.dt,
-        history_init=float(rho_target(np.zeros(1))[0]),
+        history_init=float(settings.target_at(np.zeros(1))[0]),
     )
-    return integrate_dde(params, rho_target, cfg.duration)
+    return integrate_dde(params, settings.target_at, cfg.duration)
 
 
 def s_chsh_ideal(traj: RhoDTrajectory) -> float:
@@ -387,9 +374,6 @@ class CoincidenceCounts:
     counts: np.ndarray  # [alpha_idx, beta_idx, port_a, port_b]
     total: int
     accidental_estimate: float
-
-    def cell_total(self, i: int, j: int) -> int:
-        return int(self.counts[i, j].sum())
 
 
 def pair_coincidences(tags: TimeTagData, window: float) -> CoincidencePairs:

@@ -1,7 +1,9 @@
-"""CSV/JSON readers and writers for trajectories, time tags, and spectra.
+"""CSV/JSON readers and writers for trajectories, time tags, spectra and
+gain sweeps.
 
-Floats are written with ``repr`` (shortest round-trip form, '.' decimal
-separator), so identical runs produce byte-identical files.
+Every CSV artifact goes through ``_write_csv`` and ``_read_csv``.  Floats are
+written with ``repr`` (shortest round-trip form, '.' decimal separator), so
+identical runs produce byte-identical files that read back exactly.
 """
 
 from __future__ import annotations
@@ -9,49 +11,73 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .dde import RhoDTrajectory
+from .dde import RhoDTrajectory, SweepRow
 from .errors import ConfigError, InsufficientDataError
 from .experiment import TimeTagData
 from .spectral import Spectrum
 
+# rows parsed per block: the reader never holds more rows of text than this
+_BLOCK_ROWS = 65536
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+
+def _write_csv(path: Path, header: list[str], columns: Sequence) -> None:
+    """A header row, then row i holding element i of every column."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _read_csv(path: Path, columns: dict[str, type]) -> list[np.ndarray]:
+    """The named columns of a CSV file, as arrays of the given types.
+
+    The header must name every requested column and every row must have as
+    many cells as the header; a file that breaks either is a ConfigError.
+    """
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ConfigError(f"{path} has no column {missing[0]!r} in its header {header}")
+        index = [header.index(c) for c in columns]
+        blocks = []
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            if set(map(len, rows)) != {len(header)}:
+                k = next(k for k, r in enumerate(rows) if len(r) != len(header))
+                line = reader.line_num - len(rows) + k + 1
+                raise ConfigError(
+                    f"{path} line {line} has {len(rows[k])} cells, header has {len(header)}"
+                )
+            try:
+                blocks.append([np.array([r[i] for r in rows], dtype=kind)
+                               for i, kind in zip(index, columns.values())])
+            except ValueError as err:
+                raise ConfigError(f"{path}: {err}") from None
+    if not blocks:
+        raise InsufficientDataError(f"no data rows in {path}")
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def write_trajectory_csv(path: Path, traj: RhoDTrajectory, extras: bool = False) -> None:
     """Columns t, rho_d, rho_target; with ``extras`` also rho_no_target and
     the clamped sampling track."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        if extras:
-            w.writerow(["t", "rho_d", "rho_target", "rho_no_target", "rho_d_clamped"])
-            clamped = np.clip(traj.rho_d, 0.25, 0.5)
-            for t, rd, rt, rn, rc in zip(
-                traj.t, traj.rho_d, traj.rho_target, traj.rho_no_target, clamped
-            ):
-                w.writerow([_fmt(t), _fmt(rd), _fmt(rt), _fmt(rn), _fmt(rc)])
-        else:
-            w.writerow(["t", "rho_d", "rho_target"])
-            for t, rd, rt in zip(traj.t, traj.rho_d, traj.rho_target):
-                w.writerow([_fmt(t), _fmt(rd), _fmt(rt)])
+    header = ["t", "rho_d", "rho_target"]
+    columns = [traj.t, traj.rho_d, traj.rho_target]
+    if extras:
+        header += ["rho_no_target", "rho_d_clamped"]
+        columns += [traj.rho_no_target, np.clip(traj.rho_d, 0.25, 0.5)]
+    _write_csv(path, header, columns)
 
 
 def read_trajectory_csv(path: Path) -> RhoDTrajectory:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise InsufficientDataError(f"empty trajectory file {path}")
-    t = np.array([float(r["t"]) for r in rows])
-    rho_d = np.array([float(r["rho_d"]) for r in rows])
-    rho_target = np.array([float(r["rho_target"]) for r in rows])
+    t, rho_d, rho_target = _read_csv(path, {"t": float, "rho_d": float, "rho_target": float})
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
     return RhoDTrajectory(t0=float(t[0]), dt=dt, rho_d=rho_d, rho_target=rho_target)
 
@@ -63,13 +89,7 @@ def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = 
     """Time-tag stream plus a sidecar ``<name>.meta.json`` with the resolved
     configuration and the setting-index conventions."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TAG_HEADER)
-        for i in range(len(tags)):
-            w.writerow(
-                [_fmt(tags.t[i]), str(tags.arm[i]), str(tags.port[i]), int(tags.setting_index[i])]
-            )
+    _write_csv(path, TAG_HEADER, [tags.t, tags.arm, tags.port, tags.setting_index])
     sidecar = {
         "format": {
             "columns": TAG_HEADER,
@@ -87,33 +107,31 @@ def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = 
 
 
 def read_tags_csv(path: Path) -> TimeTagData:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TAG_HEADER:
-            raise ConfigError(f"unexpected tag header in {path}: {header}")
-        t, arm, port, idx = [], [], [], []
-        for r in reader:
-            t.append(float(r[0]))
-            arm.append(r[1])
-            port.append(r[2])
-            idx.append(int(r[3]))
-    if not t:
-        raise InsufficientDataError(f"no time tags in {path}")
-    return TimeTagData(t=np.array(t), arm=np.array(arm), port=np.array(port),
-                       setting_index=np.array(idx))
+    t, arm, port, idx = _read_csv(path, dict(zip(TAG_HEADER, (float, str, str, int))))
+    return TimeTagData(t=t, arm=arm, port=port, setting_index=idx)
+
+
+def read_series_csv(path: Path) -> RhoDTrajectory | TimeTagData:
+    """A CSV artifact that ``spectrum`` takes as input: a time-tag stream
+    when its first column is t_seconds, else a trajectory."""
+    with Path(path).open(newline="") as fh:
+        header = next(csv.reader(fh), [])
+    return read_tags_csv(path) if header[:1] == TAG_HEADER[:1] else read_trajectory_csv(path)
 
 
 def write_spectrum_csv(path: Path, spectrum: Spectrum, tau_seconds: float = 1.0) -> None:
     """Columns frequency_per_tau, frequency_hz, power; the spectrum's own
     axis is in Hz, which is per tau when tau_seconds is 1."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frequency_per_tau", "frequency_hz", "power"])
-        for f, p in zip(spectrum.frequencies, spectrum.power):
-            w.writerow([_fmt(f * tau_seconds), _fmt(f), _fmt(p)])
+    f = spectrum.frequencies
+    _write_csv(path, ["frequency_per_tau", "frequency_hz", "power"],
+               [f * tau_seconds, f, spectrum.power])
+
+
+def write_sweep_csv(path: Path, rows: Sequence[SweepRow]) -> None:
+    """Columns gamma, decay_time_tau, period_tau and diverged (0 or 1)."""
+    _write_csv(path, ["gamma", "decay_time_tau", "period_tau", "diverged"],
+               [[r.gamma for r in rows], [r.decay_time_tau for r in rows],
+                [r.period_tau for r in rows], [int(r.diverged) for r in rows]])
 
 
 def dumps(payload: dict[str, Any]) -> str:

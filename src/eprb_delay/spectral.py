@@ -128,19 +128,14 @@ def bin_series(source, bin_width: float, signal: str = "deviation", t_span=None)
 
 def power_spectrum(
     series: RateSeries,
-    detrend: bool = True,
-    hann: bool = False,
     pad_pow2: bool = True,
 ) -> Spectrum:
-    """One-sided periodogram of the (mean-subtracted) series."""
+    """One-sided periodogram of the mean-subtracted series."""
     y = np.asarray(series.values, dtype=float)
     m = len(y)
     if m < 256:
         raise ConfigError("need at least 256 bins for a spectrum")
-    if detrend:
-        y = y - y.mean()
-    if hann:
-        y = y * np.hanning(m)
+    y = y - y.mean()
     n_fft = 1 << (m - 1).bit_length() if pad_pow2 else m
     spec = np.fft.rfft(y, n=n_fft)
     dt = series.bin_width
@@ -238,13 +233,12 @@ def trajectory_spectrum(
     traj: RhoDTrajectory,
     bin_width: float | None = None,
     signal: str = "deviation",
-    hann: bool = False,
 ) -> Spectrum:
     """Convenience pipeline: bin a trajectory (default tau/10-ish via ten
     grid steps) and take the periodogram."""
     if bin_width is None:
         bin_width = 10 * traj.dt
-    return power_spectrum(bin_trajectory(traj, bin_width, signal), hann=hann)
+    return power_spectrum(bin_trajectory(traj, bin_width, signal))
 
 
 # Sign of d<parity>/d rho_d per (alpha, beta) cell: re-signing coincidence
@@ -281,7 +275,7 @@ def correlation_series(pairs, bin_width: float, t0: float, t1: float) -> RateSer
     return RateSeries(t0=t0, bin_width=bin_width, values=z)
 
 
-def welch_spectrum(series: RateSeries, n_segments: int, **kwargs) -> Spectrum:
+def welch_spectrum(series: RateSeries, n_segments: int) -> Spectrum:
     """Mean periodogram over equal-length segments (floor-variance control
     for sparse event series)."""
     if n_segments < 1:
@@ -296,7 +290,7 @@ def welch_spectrum(series: RateSeries, n_segments: int, **kwargs) -> Spectrum:
             bin_width=series.bin_width,
             values=series.values[k * m : (k + 1) * m],
         )
-        specs.append(power_spectrum(seg, **kwargs))
+        specs.append(power_spectrum(seg))
     return average_spectra(specs)
 
 

@@ -119,9 +119,8 @@ def test_criterion_3_chsh_tracking_and_fig5():
     t0 = time.perf_counter()
     cfg = ex.ExperimentConfig(gamma=1.0, tau=1.0, mu=0.4, duration=500.0, seed=0)
     settings = ex.settings_for(cfg)
-    target, _ = ex.target_tracks(settings)
     n = int(round(cfg.duration / cfg.dt))
-    tv = target(cfg.dt * np.arange(n + 1))
+    tv = settings.target_at(cfg.dt * np.arange(n + 1))
     from eprb_delay.dde import RhoDTrajectory
 
     tracking = RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv)
@@ -354,8 +353,7 @@ def test_criterion_6_probability_identities():
     )
     settings = ex.settings_for(cfg)
     n = int(round(cfg.duration / cfg.dt))
-    target, _ = ex.target_tracks(settings)
-    tv = target(cfg.dt * np.arange(n + 1))
+    tv = settings.target_at(cfg.dt * np.arange(n + 1))
     from eprb_delay.dde import RhoDTrajectory
 
     traj = RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=np.full(n + 1, 0.375), rho_target=tv)

@@ -16,8 +16,7 @@ def tracking_trajectory(cfg, settings):
     """Synthetic run whose correlation parameter follows the target exactly."""
     n = int(round(cfg.duration / cfg.dt))
     tgrid = cfg.dt * np.arange(n + 1)
-    target, _ = ex.target_tracks(settings)
-    tv = target(tgrid)
+    tv = settings.target_at(tgrid)
     return RhoDTrajectory(t0=0.0, dt=cfg.dt, rho_d=tv.copy(), rho_target=tv)
 
 
@@ -54,11 +53,9 @@ class TestSettings:
 
     def test_target_track_values(self):
         s = ex.generate_settings(0.3, 300.0, 12)
-        target, no_target = ex.target_tracks(s)
         t = np.linspace(0, 300, 1001)
-        tv, nv = target(t), no_target(t)
+        tv = s.target_at(t)
         assert set(np.unique(tv)) <= {0.25, 0.5}
-        assert np.allclose(tv + nv, 0.75)
         alpha = s.alpha_index_at(t)
         assert np.all(tv[alpha == 0] == 0.5)
         assert np.all(tv[alpha == 1] == 0.25)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprb_delay import cli, experiment as ex, io_formats as io
+from eprb_delay import cli, dde, experiment as ex, io_formats as io, spectral as sp
 from eprb_delay.dde import step_trajectory
 
 
@@ -90,6 +90,8 @@ class TestCli:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "gamma,decay_time_tau,period_tau,diverged"
         assert len(lines) == 4
+        cells = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in cells] == np.linspace(0.8, 1.2, 3).tolist()
         # single-point sweep equals the step command's numbers
         out2 = tmp_path / "one"
         cli.main(["sweep", "--gamma-min", "1.0", "--gamma-max", "1.0", "--steps", "1",
@@ -151,6 +153,38 @@ class TestCli:
         for name in ("trajectory.csv", "tags.csv", "schsh.json", "summary.json"):
             assert read(out_a / name) == read(out_b / name), name
 
+    def test_spectrum_input_without_rho_target_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,rho_d\n" + "".join(f"{0.01 * k},0.5\n" for k in range(3000)))
+        rc = cli.main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'rho_target'" in err and str(path) in err
+
+    def test_chsh_ragged_tag_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tags.csv"
+        path.write_text("t_seconds,arm,port,setting_index\n0.5,a,+,0\n0.5,b,+\n")
+        rc = cli.main(["chsh", "--tags", str(path), "--window", "0.01",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and str(path) in err
+
+    def test_resolved_config_records_analysis_inputs(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        io.write_trajectory_csv(traj, step_trajectory(1.0, 60.0))
+        spec = tmp_path / "spec"
+        assert cli.main(["spectrum", "--input", str(traj), "--welch-segments", "4",
+                         "--window-tau", "0.02", "--out", str(spec)]) == 0
+        resolved = json.loads((spec / "resolved_config.json").read_text())
+        assert (resolved["welch_segments"], resolved["window_tau"]) == (4, 0.02)
+        feas = tmp_path / "feas"
+        assert cli.main(["feasibility", "--length-m", "5000", "--pair-rate", "3e5",
+                         "--required-pairs-per-tau", "50", "--out", str(feas)]) == 0
+        assert json.loads((feas / "feasibility.json").read_text())["verdict"] is False
+        resolved = json.loads((feas / "resolved_config.json").read_text())
+        assert resolved["required_pairs_per_tau"] == 50.0
+
     def test_chsh_empty_file_exits_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("t_seconds,arm,port,setting_index\n")
@@ -211,9 +245,16 @@ class TestCli:
     ["step", "--gamma", "nan"],
     ["sweep", "--gamma-min", "nan", "--steps", "2"],
     ["feasibility", "--length-m", "nan", "--pair-rate", "3e5"],
+    ["step", "--gamma", "1.0", "--t-end", "nan"],
+    ["spectrum", "--input", "trajectory.csv", "--bin-width-tau", "nan"],
+    ["chsh", "--tags", "tags.csv", "--window", "nan"],
+    ["concurrence", "--epsilon", "nan"],
 ])
-def test_non_finite_input_exits_2(tmp_path, argv):
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    # concurrence prints its result and takes no --out
+    out = [] if argv[0] == "concurrence" else ["--out", str(tmp_path / "out")]
+    assert cli.main(argv + out) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_spectrum_csv_units_match_peak(tmp_path):
@@ -271,6 +312,11 @@ class TestRunConfig:
     def test_wrong_typed_value_exits_2(self, tmp_path, bad):
         assert self.run(tmp_path, bad, "--out", tmp_path / "out") == 2
 
+    def test_malformed_config_file_exits_2(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"gamma": 0.9,')
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_resolved_config_round_trips(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main([
@@ -289,3 +335,58 @@ class TestRunConfig:
         assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
         for name in files:
             assert read(out_a / name) == read(out_b / name), name
+
+
+class TestCsvFormat:
+    """The CSV dialect, rendered here by hand from the in-memory arrays: a
+    header row, CRLF line ends, floats as repr, ints and strings as is."""
+
+    @staticmethod
+    def rendered(header, rows) -> bytes:
+        return "".join(",".join(cells) + "\r\n" for cells in [header, *rows]).encode()
+
+    @staticmethod
+    def floats(*columns):
+        return [[repr(float(x)) for x in row] for row in zip(*columns)]
+
+    @pytest.mark.parametrize("extras", [False, True])
+    def test_trajectory(self, tmp_path, extras):
+        cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=50.0, seed=1)
+        traj = ex.simulate_rho_d(cfg)
+        header = ["t", "rho_d", "rho_target"]
+        columns = [traj.t, traj.rho_d, traj.rho_target]
+        if extras:
+            header += ["rho_no_target", "rho_d_clamped"]
+            columns += [0.75 - traj.rho_target, np.clip(traj.rho_d, 0.25, 0.5)]
+        path = tmp_path / "trajectory.csv"
+        io.write_trajectory_csv(path, traj, extras=extras)
+        assert read(path) == self.rendered(header, self.floats(*columns))
+
+    def test_tags(self, tmp_path):
+        cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=50.0, seed=1,
+                                  pair_rate=2.0)
+        tags = ex.generate_time_tags(cfg, ex.simulate_rho_d(cfg))
+        rows = [[repr(float(t)), str(arm), str(port), str(int(i))]
+                for t, arm, port, i in zip(tags.t, tags.arm, tags.port, tags.setting_index)]
+        path = tmp_path / "tags.csv"
+        io.write_tags_csv(path, tags)
+        assert read(path) == self.rendered(io.TAG_HEADER, rows)
+
+    def test_spectrum(self, tmp_path):
+        tau = 1e-5
+        spec = sp.trajectory_spectrum(step_trajectory(1.0, 60.0))
+        f = spec.frequencies
+        path = tmp_path / "spectrum.csv"
+        io.write_spectrum_csv(path, spec, tau_seconds=tau)
+        header = ["frequency_per_tau", "frequency_hz", "power"]
+        assert read(path) == self.rendered(header, self.floats(f * tau, f, spec.power))
+
+    def test_sweep(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--gamma-min", "1.5", "--gamma-max", "1.65", "--steps", "3",
+                         "--out", str(out)]) == 0
+        rows = [[repr(float(r.gamma)), repr(float(r.decay_time_tau)),
+                 repr(float(r.period_tau)), str(int(r.diverged))]
+                for r in dde.gamma_sweep(np.linspace(1.5, 1.65, 3), 60.0)]
+        header = ["gamma", "decay_time_tau", "period_tau", "diverged"]
+        assert read(out / "sweep.csv") == self.rendered(header, rows)
