@@ -162,15 +162,27 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _write_resolved(out: Path, resolved: dict) -> None:
-    io.write_json(out / "resolved_config.json", {"version": __version__, **resolved})
+def _write_resolved(out: Path, record: dict) -> None:
+    """resolved_config.json: a command's parsed flags (``vars(args)``, whose
+    dests are the recorded keys) as the command used them, or simulate's
+    resolved run parameters."""
+    record = {k: v for k, v in record.items() if k not in ("func", "out")}
+    io.write_json(out / "resolved_config.json", {"version": __version__, **record})
+
+
+def _resolve_tau(args) -> float:
+    """``--tau-seconds`` or ``--length-m`` of step and spectrum, recorded as
+    the one key tau_seconds."""
+    args.tau_seconds = _resolve(_TAU, args, {}, None)
+    del args.length_m
+    return args.tau_seconds
 
 
 def cmd_step(args) -> int:
     out = _out_dir(args.out)
-    traj = dde.step_trajectory(args.gamma, args.t_end, args.samples_per_tau)
+    tau = _resolve_tau(args)
+    traj = dde.step_trajectory(args.gamma, args.t_end_tau, args.samples_per_tau)
     resp = dde.measure_step_response(traj)
-    tau = _resolve(_TAU, args, {}, None)
     if tau != 1.0:
         traj = replace(traj, t0=traj.t0 * tau, dt=traj.dt * tau)
     io.write_trajectory_csv(out / "trajectory.csv", traj)
@@ -184,33 +196,15 @@ def cmd_step(args) -> int:
             "diverged": resp.diverged,
         },
     )
-    _write_resolved(
-        out,
-        {
-            "command": "step",
-            "gamma": args.gamma,
-            "t_end_tau": args.t_end,
-            "samples_per_tau": args.samples_per_tau,
-            "tau_seconds": tau,
-        },
-    )
+    _write_resolved(out, vars(args))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    io.write_sweep_csv(out / "sweep.csv", dde.gamma_sweep(gammas, args.t_end))
-    _write_resolved(
-        out,
-        {
-            "command": "sweep",
-            "gamma_min": args.gamma_min,
-            "gamma_max": args.gamma_max,
-            "steps": args.steps,
-            "t_end_tau": args.t_end,
-        },
-    )
+    io.write_sweep_csv(out / "sweep.csv", dde.gamma_sweep(gammas, args.t_end_tau))
+    _write_resolved(out, vars(args))
     return EXIT_OK
 
 
@@ -267,28 +261,39 @@ def _cfg_dict(cfg: ex.ExperimentConfig) -> dict:
     return {p.key: getattr(cfg, p.echo or p.field) for p in SIMULATE if p.field}
 
 
+def _reject_flags(args, names: tuple[str, ...], kind: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to {kind} input")
+
+
 def cmd_spectrum(args) -> int:
-    out = _out_dir(args.out)
-    path = Path(args.input)
-    tau = _resolve(_TAU, args, {}, None)
-    data = io.read_series_csv(path)
+    tau = _resolve_tau(args)
+    data = io.read_series_csv(args.input)
     if isinstance(data, ex.TimeTagData):
+        _reject_flags(args, ("signal",), "time-tag")
+        if args.welch_segments is None:
+            args.welch_segments = 8
         window = args.window_tau * tau if args.window_tau is not None else tau / 100.0
         pairs = ex.pair_coincidences(data, window)
         series = sp.correlation_series(
             pairs, args.bin_width_tau * tau, 0.0, float(data.t[-1])
         )
-        spectrum = sp.welch_spectrum(series, args.welch_segments)
+        spectrum = sp.power_spectrum(series, args.welch_segments)
         peak = sp.detect_peak(spectrum, args.min_prominence, smooth_bins=1)
     else:
+        _reject_flags(args, ("welch_segments", "window_tau"), "trajectory")
+        if args.signal is None:
+            args.signal = "deviation"
         series = sp.bin_trajectory(data, args.bin_width_tau * tau, signal=args.signal)
         spectrum = sp.power_spectrum(series)
         peak = sp.detect_peak(spectrum, args.min_prominence)
+    out = _out_dir(args.out)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum, tau_seconds=tau)
     io.write_json(
         out / "peak.json",
         {
-            "input": str(path),
+            "input": args.input,
             "tau_seconds": tau,
             "background": spectrum.background,
             "peak": None
@@ -301,26 +306,14 @@ def cmd_spectrum(args) -> int:
             },
         },
     )
-    _write_resolved(
-        out,
-        {
-            "command": "spectrum",
-            "input": str(path),
-            "bin_width_tau": args.bin_width_tau,
-            "signal": args.signal,
-            "min_prominence": args.min_prominence,
-            "welch_segments": args.welch_segments,
-            "window_tau": args.window_tau,
-            "tau_seconds": tau,
-        },
-    )
+    _write_resolved(out, vars(args))
     return EXIT_OK
 
 
 def cmd_chsh(args) -> int:
     out = _out_dir(args.out)
-    tags = io.read_tags_csv(Path(args.tags))
-    counts = ex.count_coincidences(tags, args.window)
+    tags = io.read_tags_csv(args.tags)
+    counts = ex.count_coincidences(tags, args.window_seconds)
     est = ex.s_chsh_from_counts(counts)
     blocks = {}
     for i, alpha in enumerate(("0", "pi/4")):
@@ -343,19 +336,18 @@ def cmd_chsh(args) -> int:
             "cells": blocks,
         },
     )
-    _write_resolved(out, {"command": "chsh", "tags": str(args.tags), "window_seconds": args.window})
+    _write_resolved(out, vars(args))
     return EXIT_OK
 
 
 def cmd_feasibility(args) -> int:
-    report = ex.feasibility(args.length_m, args.pair_rate, args.required_pairs_per_tau)
+    report = ex.feasibility(args.length_m, args.pair_rate_per_second,
+                            args.required_pairs_per_tau)
     payload = asdict(report)
     if args.out:
         out = _out_dir(args.out)
         io.write_json(out / "feasibility.json", payload)
-        _write_resolved(out, {"command": "feasibility", "length_m": args.length_m,
-                              "pair_rate_per_second": args.pair_rate,
-                              "required_pairs_per_tau": args.required_pairs_per_tau})
+        _write_resolved(out, vars(args))
     print(io.dumps(payload))
     return EXIT_OK
 
@@ -432,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("step", help="single setting-change response (ringing)")
     q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--t-end", type=float, default=60.0, help="in units of tau")
+    q.add_argument("--t-end", dest="t_end_tau", type=float, default=60.0,
+                   help="in units of tau")
     q.add_argument("--samples-per-tau", type=int, default=100)
     _add_flags(q, [_TAU])
     q.add_argument("--out", required=True)
@@ -442,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--gamma-min", type=float, default=0.1)
     q.add_argument("--gamma-max", type=float, default=1.55)
     q.add_argument("--steps", type=int, default=30)
-    q.add_argument("--t-end", type=float, default=60.0)
+    q.add_argument("--t-end", dest="t_end_tau", type=float, default=60.0,
+                   help="in units of tau")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_sweep)
 
@@ -453,26 +447,30 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("spectrum", help="power spectrum of a trajectory or tag file")
-    q.add_argument("--input", required=True)
+    q.add_argument("--input", type=Path, required=True)
     q.add_argument("--bin-width-tau", type=float, default=0.1)
     q.add_argument("--signal", choices=["deviation", "rho_d", "rho_no_gap"],
-                   default="deviation")
+                   help="trajectory input only (default deviation)")
     q.add_argument("--min-prominence", type=float, default=sp.DEFAULT_PROMINENCE)
-    q.add_argument("--welch-segments", type=int, default=8)
-    q.add_argument("--window-tau", type=float, default=None)
+    q.add_argument("--welch-segments", type=int,
+                   help="tag-file input only: segments averaged (default 8)")
+    q.add_argument("--window-tau", type=float,
+                   help="tag-file input only: coincidence window (default 0.01)")
     _add_flags(q, [_TAU])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_spectrum)
 
     q = sub.add_parser("chsh", help="coincidence counting and CHSH estimate")
-    q.add_argument("--tags", required=True)
-    q.add_argument("--window", type=float, required=True, help="seconds")
+    q.add_argument("--tags", type=Path, required=True)
+    q.add_argument("--window", dest="window_seconds", type=float, required=True,
+                   help="seconds")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_chsh)
 
     q = sub.add_parser("feasibility", help="station-separation rate arithmetic")
     q.add_argument("--length-m", type=float, required=True)
-    q.add_argument("--pair-rate", type=float, required=True)
+    q.add_argument("--pair-rate", dest="pair_rate_per_second", type=float, required=True,
+                   help="pairs per second")
     q.add_argument("--required-pairs-per-tau", type=float, default=5.0)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_feasibility)
@@ -495,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

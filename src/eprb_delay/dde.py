@@ -40,6 +40,7 @@ _W_BWD = np.array([1.0, -5.0, 19.0, 9.0]) / 24.0  # nodes m-2 .. m+1
 
 DIVERGENCE_AMPLITUDE = 2.5  # |rho_d - target| far beyond the physical 1/4 scale
 ENVELOPE_RATIO_THRESHOLD = 1.05
+STEP_T_END_TAU = 60.0  # shortest step-response run the measurement accepts
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def envelope_maxima(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return t[idx], y[idx]
 
 
-def measure_step_response(traj: RhoDTrajectory, t_end_required: float = 60.0) -> StepResponse:
+def measure_step_response(traj: RhoDTrajectory) -> StepResponse:
     """Decay time, oscillation period, and divergence flag for a single-step
     target.
 
@@ -214,8 +215,8 @@ def measure_step_response(traj: RhoDTrajectory, t_end_required: float = 60.0) ->
     """
     t = traj.t
     x = traj.deviation()
-    if traj.duration < t_end_required - 1e-9:
-        raise ConfigError(f"step response needs t_end >= {t_end_required} tau")
+    if traj.duration < STEP_T_END_TAU - 1e-9:
+        raise ConfigError(f"step response needs t_end >= {STEP_T_END_TAU:g} tau")
 
     # divergence: compare |x| envelopes over [0.2T, 0.6T) and [0.6T, T]
     t_end = t[-1]
@@ -248,12 +249,7 @@ def measure_step_response(traj: RhoDTrajectory, t_end_required: float = 60.0) ->
 def step_response(
     gamma: float, t_end_tau: float = 60.0, samples_per_tau: int = 100
 ) -> StepResponse:
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    if t_end_tau < 60.0:
-        raise ConfigError("step response requires t_end >= 60 tau")
-    traj = step_trajectory(gamma, t_end_tau, samples_per_tau)
-    return measure_step_response(traj, t_end_required=60.0)
+    return measure_step_response(step_trajectory(gamma, t_end_tau, samples_per_tau))
 
 
 @dataclass(frozen=True)

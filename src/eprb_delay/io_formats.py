@@ -160,4 +160,6 @@ def _jsonable(obj):
         if math.isnan(x):
             return None
         return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(obj, Path):
+        return str(obj)
     return obj

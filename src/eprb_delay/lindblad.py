@@ -33,8 +33,6 @@ _KET_FACTORS = {
     "diagonal": (np.array([0, 1, 1, 0], dtype=complex), np.array([1, 0, 0, -1], dtype=complex)),
 }
 
-TARGET_RHO_D = {"parallel": 0.5, "diagonal": 0.25}
-
 
 @dataclass(frozen=True)
 class JumpOperator:
@@ -50,10 +48,6 @@ class JumpOperator:
     def matrix(self) -> np.ndarray:
         left, right = _KET_FACTORS[self.kind]
         return self.g * np.outer(left, right.conj())
-
-    @property
-    def target_rho_d(self) -> float:
-        return TARGET_RHO_D[self.kind]
 
 
 @dataclass(frozen=True)

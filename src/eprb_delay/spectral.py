@@ -21,13 +21,14 @@ threshold while leaving the broad physical peak intact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dde import RhoDTrajectory
 from .errors import ConfigError, InsufficientDataError, PartialResultError
+from .experiment import CoincidencePairs, ExperimentConfig, simulate_rho_d
 
 DEFAULT_PROMINENCE = 10.0
 DEFAULT_SMOOTH_BINS = 9
@@ -44,10 +45,6 @@ class RateSeries:
         if self.bin_width <= 0:
             raise ConfigError("bin_width must be positive")
 
-    @property
-    def duration(self) -> float:
-        return self.bin_width * len(self.values)
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -56,17 +53,23 @@ class Peak:
     prominence: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
     """One-sided periodogram; frequencies in cycles per unit of the series
-    time axis (per tau when the series was built in tau units)."""
+    time axis (per tau when the series was built in tau units).  ``duration``
+    is the length of the (segment) series the periodogram was taken of."""
 
     frequencies: np.ndarray
     power: np.ndarray
-    df: float
     duration: float
-    background: float = 0.0
-    peaks: list[Peak] = field(default_factory=list)
+
+    @property
+    def df(self) -> float:
+        return float(self.frequencies[1] - self.frequencies[0])
+
+    @property
+    def background(self) -> float:
+        return _background(self.power)
 
 
 def bin_events(times: np.ndarray, bin_width: float, t0: float, t1: float) -> RateSeries:
@@ -112,51 +115,39 @@ def bin_trajectory(
     return RateSeries(t0=traj.t0, bin_width=bin_width, values=vals)
 
 
-def bin_series(source, bin_width: float, signal: str = "deviation", t_span=None) -> RateSeries:
-    """Dispatch: trajectories yield per-bin means, event-time arrays counts."""
-    if isinstance(source, RhoDTrajectory):
-        return bin_trajectory(source, bin_width, signal)
-    times = np.asarray(source, dtype=float)
-    if times.ndim != 1:
-        raise ConfigError("event input must be a 1-d array of times")
-    if t_span is None:
-        if len(times) == 0:
-            raise InsufficientDataError("no events to bin")
-        t_span = (0.0, float(times.max()))
-    return bin_events(times, bin_width, t_span[0], t_span[1])
-
-
 def power_spectrum(
     series: RateSeries,
+    n_segments: int = 1,
     pad_pow2: bool = True,
 ) -> Spectrum:
-    """One-sided periodogram of the mean-subtracted series."""
-    y = np.asarray(series.values, dtype=float)
-    m = len(y)
+    """One-sided periodogram of the mean-subtracted series; with
+    ``n_segments`` > 1 the mean periodogram of that many equal consecutive
+    segments (Welch's method without overlap or taper), which trades
+    frequency resolution for a lower variance of the noise floor.  Bins past
+    the last whole segment are dropped."""
+    if n_segments < 1:
+        raise ConfigError("need at least one segment")
+    m = len(series.values) // n_segments
     if m < 256:
-        raise ConfigError("need at least 256 bins for a spectrum")
-    y = y - y.mean()
+        raise ConfigError("need at least 256 bins per segment for a spectrum")
+    y = np.asarray(series.values[: n_segments * m], dtype=float).reshape(n_segments, m)
+    y = y - y.mean(axis=1, keepdims=True)
     n_fft = 1 << (m - 1).bit_length() if pad_pow2 else m
-    spec = np.fft.rfft(y, n=n_fft)
     dt = series.bin_width
-    power = dt * dt * np.abs(spec) ** 2
+    power = dt * dt * np.abs(np.fft.rfft(y, n=n_fft, axis=1)) ** 2
     # fold negative frequencies so sum(power)*df preserves the signal energy
-    power[1:] *= 2.0
+    power[:, 1:] *= 2.0
     if n_fft % 2 == 0:
-        power[-1] /= 2.0
-    freqs = np.fft.rfftfreq(n_fft, d=dt)
-    df = freqs[1] - freqs[0]
-    sp = Spectrum(
-        frequencies=freqs,
-        power=power,
-        df=df,
+        power[:, -1] /= 2.0
+    return Spectrum(
+        frequencies=np.fft.rfftfreq(n_fft, d=dt),
+        power=power.mean(axis=0),
         duration=m * dt,
     )
-    sp.background = _background(power)
-    return sp
 
 
 def _background(power: np.ndarray) -> float:
+    """Median power above the lowest few bins."""
     body = power[BACKGROUND_SKIP_BINS:]
     return float(np.median(body)) if len(body) else 0.0
 
@@ -220,13 +211,11 @@ def detect_peak(
     window_freqs = freqs[lo : hi + 1]
     total = float(window_power.sum())
     freq = float((window_freqs * window_power).sum() / total) if total > 0 else float(freqs[best])
-    peak = Peak(
+    return Peak(
         frequency=freq,
         power=float(window_power.max()),
         prominence=prominence,
     )
-    spectrum.peaks = [peak]
-    return peak
 
 
 def trajectory_spectrum(
@@ -247,7 +236,9 @@ def trajectory_spectrum(
 CELL_SIGN = np.array([[1.0, -1.0], [-1.0, -1.0]])
 
 
-def correlation_series(pairs, bin_width: float, t0: float, t1: float) -> RateSeries:
+def correlation_series(
+    pairs: CoincidencePairs, bin_width: float, t0: float, t1: float
+) -> RateSeries:
     """Demodulated coincidence-correlation series for oscillation searches.
 
     Each matched pair contributes its outcome parity (+1 same port, -1
@@ -257,9 +248,6 @@ def correlation_series(pairs, bin_width: float, t0: float, t1: float) -> RateSer
     the transient deviation of the correlation parameter, with shot noise
     as the only broadband background.
     """
-    from .experiment import CoincidencePairs  # local import to avoid a cycle
-
-    assert isinstance(pairs, CoincidencePairs)
     if len(pairs.t) == 0:
         raise InsufficientDataError("no coincidences to bin")
     parity = (1.0 - 2.0 * np.abs(pairs.port_a - pairs.port_b)).astype(float)
@@ -275,25 +263,6 @@ def correlation_series(pairs, bin_width: float, t0: float, t1: float) -> RateSer
     return RateSeries(t0=t0, bin_width=bin_width, values=z)
 
 
-def welch_spectrum(series: RateSeries, n_segments: int) -> Spectrum:
-    """Mean periodogram over equal-length segments (floor-variance control
-    for sparse event series)."""
-    if n_segments < 1:
-        raise ConfigError("need at least one segment")
-    m = len(series.values) // n_segments
-    if m < 256:
-        raise ConfigError("segments would be shorter than 256 bins")
-    specs = []
-    for k in range(n_segments):
-        seg = RateSeries(
-            t0=series.t0 + k * m * series.bin_width,
-            bin_width=series.bin_width,
-            values=series.values[k * m : (k + 1) * m],
-        )
-        specs.append(power_spectrum(seg))
-    return average_spectra(specs)
-
-
 def average_spectra(spectra: Sequence[Spectrum]) -> Spectrum:
     """Ensemble mean of same-grid periodograms (stabilizes peak location)."""
     if not spectra:
@@ -302,15 +271,8 @@ def average_spectra(spectra: Sequence[Spectrum]) -> Spectrum:
     for s in spectra[1:]:
         if len(s.power) != len(first.power) or abs(s.df - first.df) > 1e-15:
             raise ConfigError("spectra must share a frequency grid")
-    mean_power = np.mean([s.power for s in spectra], axis=0)
-    out = Spectrum(
-        frequencies=first.frequencies.copy(),
-        power=mean_power,
-        df=first.df,
-        duration=first.duration,
-    )
-    out.background = _background(mean_power)
-    return out
+    return Spectrum(first.frequencies.copy(), np.mean([s.power for s in spectra], axis=0),
+                    first.duration)
 
 
 @dataclass(frozen=True)
@@ -337,8 +299,6 @@ def scaling_test(
     detected peak period (averaged over seeds) is regressed against tau.
     Raises PartialResultError listing the (tau, seed) points with no peak.
     """
-    from .experiment import ExperimentConfig, simulate_rho_d
-
     if len(taus) < 3:
         raise ConfigError("need at least 3 tau values")
     failures: list[tuple[float, int]] = []

@@ -436,7 +436,7 @@ def test_criterion_9_event_level():
         tg = ex.generate_time_tags(c, tr)
         pairs = ex.pair_coincidences(tg, c.window)
         series = sp.correlation_series(pairs, 0.25, 0.0, c.duration)
-        specs.append(sp.welch_spectrum(series, 8))
+        specs.append(sp.power_spectrum(series, 8))
     avg = sp.average_spectra(specs)
     peak = sp.detect_peak(avg, min_prominence_over_background=1.5, smooth_bins=1)
     ok &= report(

@@ -194,7 +194,7 @@ def test_divergence_threshold_bracket():
 
 def test_measure_requires_long_run():
     traj = step_trajectory(1.0, 60.0)
-    short = step_trajectory(1.0, 60.0)
+    short = step_trajectory(1.0, 30.0)
     with pytest.raises(ConfigError):
-        measure_step_response(short, t_end_required=120.0)
+        measure_step_response(short)
     assert measure_step_response(traj).period == pytest.approx(ROOT_TABLE[1.0][1], rel=0.02)

@@ -5,12 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprb_delay import cli, dde, experiment as ex, io_formats as io, spectral as sp
+from eprb_delay import __version__, cli, dde, experiment as ex, io_formats as io, spectral as sp
 from eprb_delay.dde import step_trajectory
 
 
 def read(path):
     return Path(path).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A step-response trajectory file and a tag file, the two kinds of
+    input that spectrum takes."""
+    d = tmp_path_factory.mktemp("inputs")
+    io.write_trajectory_csv(d / "trajectory.csv", step_trajectory(1.0, 60.0))
+    cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=300.0, seed=1,
+                              pair_rate=2.0)
+    io.write_tags_csv(d / "tags.csv", ex.generate_time_tags(cfg, ex.simulate_rho_d(cfg)))
+    return {"trajectory": d / "trajectory.csv", "tags": d / "tags.csv"}
 
 
 class TestIoFormats:
@@ -170,11 +182,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 3" in err and str(path) in err
 
-    def test_resolved_config_records_analysis_inputs(self, tmp_path):
-        traj = tmp_path / "traj.csv"
-        io.write_trajectory_csv(traj, step_trajectory(1.0, 60.0))
+    def test_resolved_config_records_analysis_inputs(self, tmp_path, inputs):
         spec = tmp_path / "spec"
-        assert cli.main(["spectrum", "--input", str(traj), "--welch-segments", "4",
+        assert cli.main(["spectrum", "--input", str(inputs["tags"]), "--welch-segments", "4",
                          "--window-tau", "0.02", "--out", str(spec)]) == 0
         resolved = json.loads((spec / "resolved_config.json").read_text())
         assert (resolved["welch_segments"], resolved["window_tau"]) == (4, 0.02)
@@ -255,6 +265,49 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     out = [] if argv[0] == "concurrence" else ["--out", str(tmp_path / "out")]
     assert cli.main(argv + out) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, named, flags", [
+    ("tags", "time-tag", ["--signal", "rho_d"]),
+    ("trajectory", "trajectory", ["--welch-segments", "4"]),
+    ("trajectory", "trajectory", ["--window-tau", "0.02"]),
+])
+def test_spectrum_flag_of_other_input_kind_exits_2(tmp_path, capsys, inputs, kind, named, flags):
+    rc = cli.main(["spectrum", "--input", str(inputs[kind]), *flags,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and f"{named} input" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["step", "--gamma", "1.0", "--tau-seconds", "1e-5"],
+     {"command": "step", "gamma": 1.0, "t_end_tau": 60.0, "samples_per_tau": 100,
+      "tau_seconds": 1e-5}),
+    (["sweep", "--steps", "2"],
+     {"command": "sweep", "gamma_min": 0.1, "gamma_max": 1.55, "steps": 2, "t_end_tau": 60.0}),
+    (["spectrum", "--input", "trajectory"],
+     {"command": "spectrum", "input": "trajectory", "bin_width_tau": 0.1,
+      "signal": "deviation", "min_prominence": 10.0, "welch_segments": None,
+      "window_tau": None, "tau_seconds": 1.0}),
+    (["spectrum", "--input", "tags"],
+     {"command": "spectrum", "input": "tags", "bin_width_tau": 0.1, "signal": None,
+      "min_prominence": 10.0, "welch_segments": 8, "window_tau": None, "tau_seconds": 1.0}),
+    (["chsh", "--tags", "tags", "--window", "0.01"],
+     {"command": "chsh", "tags": "tags", "window_seconds": 0.01}),
+    (["feasibility", "--length-m", "5000", "--pair-rate", "3e5"],
+     {"command": "feasibility", "length_m": 5000.0, "pair_rate_per_second": 3e5,
+      "required_pairs_per_tau": 5.0}),
+])
+def test_resolved_config_is_the_flags(tmp_path, inputs, argv, expected):
+    # input names stand for the fixture's files
+    argv = [str(inputs.get(a, a)) for a in argv]
+    expected = {k: str(inputs.get(v, v)) if k in ("input", "tags") else v
+                for k, v in expected.items()}
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved == {"version": __version__, **expected}
 
 
 def test_spectrum_csv_units_match_peak(tmp_path):

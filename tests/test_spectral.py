@@ -36,11 +36,6 @@ class TestBinning:
         with pytest.raises(InsufficientDataError):
             sp.bin_events(np.array([]), 0.1, 0.0, 1.0)
 
-    def test_dispatch(self):
-        traj = fig5_trajectory(duration=300.0)
-        assert isinstance(sp.bin_series(traj, 0.1), sp.RateSeries)
-        assert isinstance(sp.bin_series(np.array([0.1, 0.5]), 0.1, t_span=(0, 1)), sp.RateSeries)
-
 
 class TestPowerSpectrum:
     def test_parseval(self):
@@ -54,6 +49,34 @@ class TestPowerSpectrum:
     def test_minimum_length(self):
         with pytest.raises(ConfigError):
             sp.power_spectrum(sp.RateSeries(0.0, 0.1, np.zeros(100)))
+
+    def test_segments_need_256_bins_each(self):
+        series = sp.RateSeries(0.0, 0.1, np.zeros(1000))
+        for n_segments in (0, 4):
+            with pytest.raises(ConfigError):
+                sp.power_spectrum(series, n_segments)
+
+    @pytest.mark.parametrize("n_segments", [1, 3, 8])
+    def test_segments_average_per_segment_periodograms(self, n_segments):
+        # the definition of segment averaging: the mean of the periodograms
+        # of n equal consecutive segments, bins past the last one dropped
+        cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=2000.0, seed=0,
+                                  pair_rate=1.0)
+        pairs = ex.pair_coincidences(ex.generate_time_tags(cfg, ex.simulate_rho_d(cfg)),
+                                     cfg.window)
+        series = sp.correlation_series(pairs, 0.25, 0.0, cfg.duration)
+        m = len(series.values) // n_segments
+        segments = [
+            sp.power_spectrum(sp.RateSeries(series.t0 + k * m * series.bin_width,
+                                            series.bin_width,
+                                            series.values[k * m : (k + 1) * m]))
+            for k in range(n_segments)
+        ]
+        expected = sp.average_spectra(segments)
+        spec = sp.power_spectrum(series, n_segments)
+        assert np.array_equal(spec.power, expected.power)
+        assert np.array_equal(spec.frequencies, expected.frequencies)
+        assert spec.duration == expected.duration == m * series.bin_width
 
     def test_sinusoid_peak_at_bin(self):
         n, dt = 8192, 0.1
@@ -134,7 +157,7 @@ class TestEventLevel:
             tags = ex.generate_time_tags(c, traj)
             pairs = ex.pair_coincidences(tags, c.window)
             series = sp.correlation_series(pairs, bin_width, 0.0, c.duration)
-            specs.append(sp.welch_spectrum(series, n_seg))
+            specs.append(sp.power_spectrum(series, n_seg))
         return sp.average_spectra(specs)
 
     def test_trajectory_and_event_peaks_agree_within_one_bin(self):
@@ -156,7 +179,7 @@ class TestEventLevel:
         for seed in seeds:
             traj = ex.simulate_rho_d(replace(cfg, seed=seed))
             series = sp.bin_trajectory(traj, 0.25)
-            traj_specs.append(sp.welch_spectrum(series, 8))
+            traj_specs.append(sp.power_spectrum(series, 8))
         traj_peak = sp.detect_peak(sp.average_spectra(traj_specs), 2.0, smooth_bins=1)
         assert event_peak is not None and traj_peak is not None
         assert abs(event_peak.frequency - traj_peak.frequency) <= event_spec.df + 1e-12
