@@ -179,12 +179,12 @@ def _resolve_tau(args) -> float:
 
 
 def cmd_step(args) -> int:
-    out = _out_dir(args.out)
     tau = _resolve_tau(args)
     traj = dde.step_trajectory(args.gamma, args.t_end_tau, args.samples_per_tau)
     resp = dde.measure_step_response(traj)
     if tau != 1.0:
         traj = replace(traj, t0=traj.t0 * tau, dt=traj.dt * tau)
+    out = _out_dir(args.out)
     io.write_trajectory_csv(out / "trajectory.csv", traj)
     io.write_json(
         out / "step_response.json",
@@ -201,9 +201,10 @@ def cmd_step(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args.out)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    io.write_sweep_csv(out / "sweep.csv", dde.gamma_sweep(gammas, args.t_end_tau))
+    rows = dde.gamma_sweep(gammas, args.t_end_tau)
+    out = _out_dir(args.out)
+    io.write_sweep_csv(out / "sweep.csv", rows)
     _write_resolved(out, vars(args))
     return EXIT_OK
 
@@ -216,6 +217,7 @@ def cmd_simulate(args) -> int:
     base = ex.ExperimentConfig(**{p.field: values[p.key] for p in SIMULATE if p.field})
     if values["seeds"] < 1:
         raise ConfigError("seeds must be >= 1")
+    base.validate()
     out = _out_dir(values["out_dir"])
     seeds = list(range(base.seed, base.seed + values["seeds"]))
     s_values = []
@@ -311,10 +313,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    out = _out_dir(args.out)
     tags = io.read_tags_csv(args.tags)
     counts = ex.count_coincidences(tags, args.window_seconds)
     est = ex.s_chsh_from_counts(counts)
+    out = _out_dir(args.out)
     blocks = {}
     for i, alpha in enumerate(("0", "pi/4")):
         for j, beta in enumerate(("pi/8", "3pi/8")):

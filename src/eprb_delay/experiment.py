@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError("accidental_rate must be >= 0")
         if self.pair_rate is not None and self.pair_rate <= 0:
             raise ConfigError("pair_rate must be positive when set")
+        if self.pair_rate is not None and self.beta_policy == "fixed":
+            _beta_index(self.beta_fixed)
         window = self.window
         if window >= self.tau / 4.0:
             raise ConfigError("coincidence window must be well below tau")
@@ -250,7 +252,7 @@ class TimeTagData:
         return len(self.t)
 
     def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.t) >= 0))
+        return bool(np.all(self.t[1:] >= self.t[:-1]))
 
 
 def _probability_coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -377,50 +379,111 @@ class CoincidenceCounts:
 
 
 def pair_coincidences(tags: TimeTagData, window: float) -> CoincidencePairs:
-    """Greedy nearest-neighbour pairing of a- and b-arm events within the
-    window, each event used at most once, scanning a-events in time order.
+    """Greedy nearest-neighbour pairing of a- and b-arm events.
+
+    The a-events are scanned in time order.  Each takes the nearest b-event
+    not yet taken whose time tb lies in the inclusive window
+    ``t0 - window <= tb <= t0 + window`` (bounds computed in floats) with
+    ``abs(tb - t0) < window * (1 + 1e-12)``; the earlier b wins a tie.  Each
+    event is used at most once.  Times must be finite and sorted.
+
+    The scan runs in proposal rounds (see ``_greedy_match``): every open
+    a-event proposes its nearest free b, and each run of a-events with
+    overlapping windows keeps the proposals up to its first repeated one.
+    Those are exactly the b-events the sequential scan would hand out.
     """
     if window <= 0:
         raise ConfigError("window must be positive")
+    if not np.isfinite(tags.t).all():
+        raise ContractViolationError("time tags must be finite")
     if not tags.is_sorted():
         raise ContractViolationError("time tags must be sorted by time")
     is_a = tags.arm == "a"
-    ta, tb = tags.t[is_a], tags.t[~is_a]
-    ia, ib = tags.setting_index[is_a], tags.setting_index[~is_a]
-    pa = (tags.port[is_a] == "-").astype(int)
-    pb = (tags.port[~is_a] == "-").astype(int)
-
-    used = np.zeros(len(tb), dtype=bool)
-    out_t, out_ai, out_bi, out_pa, out_pb = [], [], [], [], []
-    lo = 0
-    for k in range(len(ta)):
-        t0 = ta[k]
-        while lo < len(tb) and (tb[lo] < t0 - window or used[lo]):
-            lo += 1
-        best = -1
-        best_dt = window * (1.0 + 1e-12)
-        j = lo
-        while j < len(tb) and tb[j] <= t0 + window:
-            if not used[j]:
-                d = abs(tb[j] - t0)
-                if d < best_dt:
-                    best_dt = d
-                    best = j
-            j += 1
-        if best >= 0:
-            used[best] = True
-            out_t.append(t0)
-            out_ai.append(ia[k])
-            out_bi.append(ib[best])
-            out_pa.append(pa[k])
-            out_pb.append(pb[best])
+    rows_a, rows_b = np.flatnonzero(is_a), np.flatnonzero(~is_a)
+    match = _greedy_match(tags.t[rows_a], tags.t[rows_b], window)
+    hit = match >= 0
+    rows_a, rows_b = rows_a[hit], rows_b[match[hit]]
+    minus = tags.port == "-"
     return CoincidencePairs(
-        t=np.asarray(out_t, dtype=float),
-        alpha_index=np.asarray(out_ai, dtype=int),
-        beta_index=np.asarray(out_bi, dtype=int),
-        port_a=np.asarray(out_pa, dtype=int),
-        port_b=np.asarray(out_pb, dtype=int),
+        t=tags.t[rows_a],
+        alpha_index=tags.setting_index[rows_a].astype(int, copy=False),
+        beta_index=tags.setting_index[rows_b].astype(int, copy=False),
+        port_a=minus[rows_a].astype(int),
+        port_b=minus[rows_b].astype(int),
     )
+
+
+def _greedy_match(ta: np.ndarray, tb: np.ndarray, window: float) -> np.ndarray:
+    """Index into ``tb`` of the b-event each a-event takes in the sequential
+    greedy scan of ``pair_coincidences``, or -1; both arrays sorted.
+
+    Each round, every open a-event proposes its nearest free b (one
+    ``searchsorted``).  Open a-events are cut into chains where consecutive
+    windows ``[t0 - window, t0 + window]`` do not overlap, so no b is within
+    reach of two chains.  Within a chain, proposals before the first one that
+    repeats an earlier proposal are distinct, so each is still free when its
+    a-event's turn comes in the scan: they are accepted.  An a-event with no
+    candidate stays unmatched, and the rest of the chain goes to the next
+    round.  The first a-event of every chain is resolved, so rounds end.
+    """
+    tol = window * (1.0 + 1e-12)
+    match = np.full(len(ta), -1)
+    ia, t0, lo, hi = np.arange(len(ta)), ta, ta - window, ta + window  # open a-events
+    ib, fbt = np.arange(len(tb)), tb  # free b-events within reach of an open a-event
+    while len(ia) and len(ib):
+        n_f = len(fbt)
+        after = np.searchsorted(fbt, t0)  # first free b at or after t0
+        right = np.minimum(after, n_f - 1)
+        dr = np.abs(fbt[right] - t0)
+        # left: the first free b at the distance of the last one before t0
+        # (equal times, or distinct times that round to one distance)
+        left = np.maximum(after - 1, 0)
+        dl = np.abs(fbt[left] - t0)
+
+        def ties(i):
+            """Whether the free b before left[i] is in reach of open a-event i
+            and at the same distance from it."""
+            p = np.maximum(left[i] - 1, 0)
+            return (left[i] > 0) & (fbt[p] >= lo[i]) & (np.abs(fbt[p] - t0[i]) == dl[i])
+
+        back = np.flatnonzero(ties(slice(None)))
+        while len(back):
+            left[back] = np.searchsorted(fbt, fbt[left[back] - 1])  # first at that time
+            back = back[ties(back)]
+        # fbt[left] <= t0 <= hi and fbt[right] >= t0 >= lo hold already
+        ok_l = (after > 0) & (fbt[left] >= lo) & (dl < tol)
+        ok_r = (after < n_f) & (fbt[right] <= hi) & (dr < tol)
+        prop = np.where(ok_r & ~(ok_l & (dl <= dr)), right, np.where(ok_l, left, -1))
+
+        # repeat: a b that an earlier open a-event proposes, which can only
+        # be one in the same chain
+        has = prop >= 0
+        order = np.argsort(prop, kind="stable")
+        repeat = np.zeros(len(ia), dtype=bool)
+        sorted_prop = prop[order]
+        repeat[order[1:]] = sorted_prop[1:] == sorted_prop[:-1]
+        repeat &= has
+        start = np.ones(len(ia), dtype=bool)
+        start[1:] = lo[1:] > hi[:-1]
+        chain = np.cumsum(start)  # 1, 2, ... in time order
+        # deferred: at or after the first repeat in its chain
+        last_repeat = np.where(repeat, chain, 0)
+        deferred = np.maximum.accumulate(last_repeat, out=last_repeat) == chain
+
+        accept = has & ~deferred
+        taken = prop[accept]
+        match[ia[accept]] = ib[taken]
+        keep_a = has & deferred
+        ia, t0, lo, hi = ia[keep_a], t0[keep_a], lo[keep_a], hi[keep_a]
+        free = np.ones(n_f, dtype=bool)
+        free[taken] = False
+        ib, fbt = ib[free], fbt[free]
+        # drop the b-events no open a-event can reach any more
+        k = np.searchsorted(hi, fbt)
+        reach = k < len(ia)
+        reach[reach] = lo[k[reach]] <= fbt[reach]
+        ib, fbt = ib[reach], fbt[reach]
+    return match
 
 
 def count_coincidences(tags: TimeTagData, window: float) -> CoincidenceCounts:

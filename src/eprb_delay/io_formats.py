@@ -108,6 +108,10 @@ def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = 
 
 def read_tags_csv(path: Path) -> TimeTagData:
     t, arm, port, idx = _read_csv(path, dict(zip(TAG_HEADER, (float, str, str, int))))
+    bad = np.flatnonzero(~np.isfinite(t))
+    if len(bad):
+        # data row k is line k + 2, after the header
+        raise ConfigError(f"{path} line {bad[0] + 2} has non-finite t_seconds {t[bad[0]]}")
     return TimeTagData(t=t, arm=arm, port=port, setting_index=idx)
 
 

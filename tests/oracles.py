@@ -158,3 +158,34 @@ def twist_invariant_probability(d: float, alpha: float, beta: float) -> float:
         - ca * sa * cb * sb * (4 * d - 1)
         + sa * sa * (d + 0.5 * (1 - 4 * d) * cb * cb)
     )
+
+
+def greedy_pairs(ta: np.ndarray, tb: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential greedy coincidence pairing, one a-event at a time.
+
+    Scans the sorted a-arm times ``ta`` in order; each takes the nearest
+    still-unused b-arm time in ``tb`` (sorted) within ``window``, the
+    earlier b on a tie.  Returns the matched a indices and their b indices.
+    """
+    used = np.zeros(len(tb), dtype=bool)
+    out_a, out_b = [], []
+    lo = 0
+    for k in range(len(ta)):
+        t0 = ta[k]
+        while lo < len(tb) and (tb[lo] < t0 - window or used[lo]):
+            lo += 1
+        best = -1
+        best_dt = window * (1.0 + 1e-12)
+        j = lo
+        while j < len(tb) and tb[j] <= t0 + window:
+            if not used[j]:
+                d = abs(tb[j] - t0)
+                if d < best_dt:
+                    best_dt = d
+                    best = j
+            j += 1
+        if best >= 0:
+            used[best] = True
+            out_a.append(k)
+            out_b.append(best)
+    return np.asarray(out_a, dtype=int), np.asarray(out_b, dtype=int)

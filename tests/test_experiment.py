@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from eprb_delay import experiment as ex
 from eprb_delay.dde import RhoDTrajectory
 from eprb_delay.errors import ConfigError, ContractViolationError, InsufficientDataError
+from oracles import greedy_pairs
 
 S_QM = 2.0 * math.sqrt(2.0)
 
@@ -220,6 +223,27 @@ class TestTimeTags:
         assert abs(len(tags) - n_expected) < 4.0 * math.sqrt(n_expected)
 
 
+@st.composite
+def tag_streams(draw):
+    """Sorted a- and b-arm times of pairs on [0, 10], each arm thinned and
+    jittered, plus accidentals; windows from well below to well above the
+    mean spacing; optionally rounded to a grid, which makes exact ties and
+    duplicate times within an arm."""
+    window = draw(st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+    n = draw(st.integers(0, 40))
+    times = st.floats(0.0, 10.0)
+    pairs = draw(st.lists(times, min_size=n, max_size=n))
+    keep = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.floats(-1.5 * window, 1.5 * window), min_size=n, max_size=n))
+    ta = [t for t, (ka, _) in zip(pairs, keep) if ka] + draw(st.lists(times, max_size=10))
+    tb = [t + j for t, (_, kb), j in zip(pairs, keep, jitter) if kb]
+    tb += draw(st.lists(times, max_size=10))
+    grid = draw(st.sampled_from([None, 0.01, 0.1, 0.5]))
+    if grid is not None:
+        ta, tb = (np.round(np.asarray(x) / grid) * grid for x in (ta, tb))
+    return np.sort(np.asarray(ta, dtype=float)), np.sort(np.asarray(tb, dtype=float)), window
+
+
 class TestCoincidences:
     def make_tags(self, t, arm, port, idx):
         return ex.TimeTagData(
@@ -228,6 +252,54 @@ class TestCoincidences:
             port=np.asarray(port),
             setting_index=np.asarray(idx, dtype=int),
         )
+
+    def assert_matches_oracle(self, ta, tb, window):
+        """The package pairs exactly the events the sequential scan pairs;
+        each event's setting_index holds its rank within its arm, so the
+        pairs name the events."""
+        t = np.concatenate([ta, tb])
+        arm = np.array(["a"] * len(ta) + ["b"] * len(tb), dtype="<U1")
+        rank = np.concatenate([np.arange(len(ta)), np.arange(len(tb))])
+        port = np.where(rank % 3 == 0, "-", "+")
+        order = np.argsort(t, kind="stable")
+        pairs = ex.pair_coincidences(
+            self.make_tags(t[order], arm[order], port[order], rank[order]), window
+        )
+        ia, ib = greedy_pairs(ta, tb, window)
+        np.testing.assert_array_equal(pairs.alpha_index, ia)
+        np.testing.assert_array_equal(pairs.beta_index, ib)
+        np.testing.assert_array_equal(pairs.t, ta[ia])
+        np.testing.assert_array_equal(pairs.port_a, (ia % 3 == 0).astype(int))
+        np.testing.assert_array_equal(pairs.port_b, (ib % 3 == 0).astype(int))
+        return len(ia)
+
+    @given(tag_streams())
+    @example((np.empty(0), np.empty(0), 0.1))
+    @example((np.array([1.0, 2.0]), np.empty(0), 0.1))
+    @example((np.empty(0), np.array([1.0, 2.0]), 0.1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sequential_oracle(self, stream):
+        self.assert_matches_oracle(*stream)
+
+    @pytest.mark.parametrize("t0, inside", [(100.123, True), (2000.123, True), (2050.123, False)])
+    def test_window_edge_float_tests(self, t0, inside):
+        # b exactly at the float bound t0 -/+ w passes the bound tests, and
+        # |tb - t0| misses w by rounding: 5e-15 above it at 100 (inside
+        # w * (1 + 1e-12)), 9e-15 below it at 2000, and 2.2e-13 above it past
+        # 2048, where the distance test rejects it.  One step further out
+        # fails the bound tests.
+        w = 0.01
+        for b in (t0 - w, t0 + w):
+            assert self.assert_matches_oracle(np.array([t0]), np.array([b]), w) == inside
+            beyond = np.nextafter(b, b + (b - t0))
+            assert self.assert_matches_oracle(np.array([t0]), np.array([beyond]), w) == 0
+        self.assert_matches_oracle(np.array([t0]), np.array([t0 - w, t0 + w]), w)
+
+    def test_rounded_distance_tie_goes_to_earlier_b(self):
+        # near t = 0 distinct b times can round to one |tb - t0|
+        tb = np.array([0.0061, np.nextafter(0.0061, 1.0)])
+        assert abs(tb[0] - 0.015) == abs(tb[1] - 0.015)
+        self.assert_matches_oracle(np.array([0.015]), tb, 0.01)
 
     def test_within_window_pairs(self):
         tags = self.make_tags([0.0, 0.005], ["a", "b"], ["+", "+"], [0, 0])
@@ -251,6 +323,12 @@ class TestCoincidences:
         tags = self.make_tags([1.0, 0.5], ["a", "b"], ["+", "+"], [0, 0])
         with pytest.raises(ContractViolationError):
             ex.count_coincidences(tags, 0.01)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_raises(self, bad):
+        tags = self.make_tags([0.5, bad], ["a", "b"], ["+", "+"], [0, 0])
+        with pytest.raises(ContractViolationError, match="finite"):
+            ex.pair_coincidences(tags, 0.01)
 
     def test_round_trip_against_generator_probabilities(self):
         cfg = ex.ExperimentConfig(

@@ -267,6 +267,35 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["step", "--gamma", "-1"],
+    ["chsh", "--tags", "nowhere.csv", "--window", "0.01"],
+    ["sweep", "--gamma-min", "-1", "--gamma-max", "1", "--steps", "3"],
+    ["simulate", "--gamma", "-1", "--mu-tau", "0.2", "--duration-tau", "10"],
+    ["simulate", "--gamma", "0.9", "--mu-tau", "0.2", "--duration-tau", "10",
+     "--pair-rate-tau", "1", "--beta-policy", "fixed", "--beta-fixed", "0.3"],
+])
+def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["chsh", "spectrum"])
+def test_non_finite_tag_time_exits_2(tmp_path, capsys, inputs, command, value):
+    lines = inputs["tags"].read_text().splitlines()
+    lines[-1] = ",".join([value] + lines[-1].split(",")[1:])
+    path = tmp_path / "tags.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = (["chsh", "--tags", str(path), "--window", "0.01"] if command == "chsh"
+            else ["spectrum", "--input", str(path)])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line {len(lines)} has non-finite t_seconds" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind, named, flags", [
     ("tags", "time-tag", ["--signal", "rho_d"]),
     ("trajectory", "trajectory", ["--welch-segments", "4"]),
