@@ -23,16 +23,8 @@ def main() -> None:
     print(f"switching rate mu*tau = {mu_tau}, {n_seeds} seeds, 2000 tau per run")
     print(f"{'gamma':>8} {'mean S':>10} {'std':>8}")
     for gamma in np.linspace(1.0, 1.56, 8):
-        values = [
-            ex.s_chsh_ideal(
-                ex.simulate_rho_d(
-                    ex.ExperimentConfig(
-                        gamma=float(gamma), tau=1.0, mu=mu_tau, duration=2000.0, seed=s
-                    )
-                )
-            )
-            for s in seeds
-        ]
+        cfg = ex.ExperimentConfig(gamma=float(gamma), tau=1.0, mu=mu_tau, duration=2000.0, seed=0)
+        values = ex.s_chsh_per_seed(cfg, seeds)
         print(f"{gamma:8.4f} {np.mean(values):10.4f} {np.std(values):8.4f}")
 
     gamma_star = ex.tune_gamma(mu_tau, seeds=seeds)

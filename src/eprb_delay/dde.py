@@ -21,6 +21,11 @@ one-sided at the start and at each tau-chunk end), giving a global 4th-order
 explicit scheme with no interpolation of the delayed term.  Solution kinks
 propagate at multiples of tau and land on chunk boundaries, where the
 stencils are one-sided, so the formal order survives them.
+
+One chunk loop serves every caller.  It advances B lanes at once (runs that
+share gain and grid but not history or target) and hands each finished
+tau-chunk to a consumer: ``integrate_dde`` keeps the whole one-lane
+trajectory, ``integrate_lanes`` lets the caller reduce each chunk and drop it.
 """
 
 from __future__ import annotations
@@ -107,50 +112,91 @@ class StepResponse:
         return not math.isnan(self.period)
 
 
-def _integrate_grid(
-    gamma: float, tau: float, dt: float, history: float, target: np.ndarray
-) -> np.ndarray:
-    """Advance x through n = len(target)-4 cells; x(t<=0) = history.
+Target = Callable[[int, int], np.ndarray]
+Consumer = Callable[[int, np.ndarray, np.ndarray], None]
 
-    ``target`` carries 3 extra trailing nodes so the one-sided stencils of a
-    short final chunk never run out of data.
-    """
-    n = len(target) - 4
+
+def _cells(t_end: float, dt: float) -> int:
+    n = int(round(t_end / dt))
     if n < 4:
         raise ConfigError("need at least 4 integration cells")
+    return n
+
+
+def _integrate_grid(
+    gamma: float, tau: float, dt: float, history: np.ndarray, n: int,
+    target: Target, consume: Consumer,
+) -> None:
+    """Advance B lanes through n cells, one tau-chunk at a time; lane b has
+    x(t<=0) = history[b].
+
+    ``target(lo, hi)`` returns the (B, hi - lo) target samples at nodes
+    lo .. hi-1.  It is asked for up to 3 nodes past node n, so the one-sided
+    stencils of a short final chunk never run out of data.  Each finished
+    chunk goes to ``consume(cs, x, target)`` with x and the target at nodes
+    cs .. ce, shape (B, ce - cs + 1).  Only the previous chunk is kept: it
+    holds x at the delayed nodes of the next one.
+    """
     n_delay = round(tau / dt)
     rate = -gamma / tau
-
-    x = np.empty(n + 1)
-    x[0] = history
-    f = np.empty(n + 4)
+    n_lanes = len(history)
+    # x at nodes cs - n_delay .. cs, and the RHS samples of the previous chunk
+    prev = np.repeat(history[:, None], n_delay + 1, axis=1)
+    f_prev = None
 
     for cs in range(0, n, n_delay):
         ce = min(cs + n_delay, n)
+        m = ce - cs
         # RHS samples for this chunk; every delayed lookup is already known.
         # A short final chunk (< 4 cells) borrows up to 3 trailing nodes so
-        # its one-sided stencils have data; their delayed indices still lie
-        # at least n_delay - 6 cells behind the solved region.
-        fe = ce + 3 if (ce == n and ce - cs < 4) else ce
-        js = np.arange(cs, fe + 1)
-        delayed = np.where(js >= n_delay, x[np.maximum(js - n_delay, 0)], history)
-        f[cs : fe + 1] = rate * (delayed - target[cs : fe + 1])
+        # its one-sided stencils have data; their delayed nodes still lie in
+        # the previous chunk.
+        fe = ce + 3 if (ce == n and m < 4) else ce
+        tc = target(cs, fe + 1)
+        if tc.shape != (n_lanes, fe - cs + 1):
+            raise ConfigError("target must return one value per lane and node")
+        f = rate * (prev[:, : fe - cs + 1] - tc)
 
         # solution kinks sit at the chunk boundaries, so no stencil may
         # straddle them: forward rule for the first cell, backward for the
-        # last, centered in between -- every lookup stays in [cs, ce]
-        inc = np.empty(ce - cs)
-        m0, m1 = cs + 1, ce - 2
-        if m1 >= m0:
-            seg = f[m0 - 1 : m1 + 3]
-            inc[1 : m1 - cs + 1] = (dt / 24.0) * (
-                -seg[:-3] + 13.0 * seg[1:-2] + 13.0 * seg[2:-1] - seg[3:]
+        # last, centered in between -- every lookup stays in [cs, ce], except
+        # that a 2-cell final chunk reaches back one node into the previous one
+        inc = np.empty((n_lanes, m))
+        if m >= 3:
+            seg = f[:, : m + 1]
+            inc[:, 1 : m - 1] = (dt / 24.0) * (
+                -seg[:, :-3] + 13.0 * seg[:, 1:-2] + 13.0 * seg[:, 2:-1] - seg[:, 3:]
             )
-        inc[0] = dt * (_W_FWD @ f[cs : cs + 4])
-        if ce - 1 > cs:
-            inc[ce - 1 - cs] = dt * (_W_BWD @ f[ce - 3 : ce + 1])
-        x[cs + 1 : ce + 1] = x[cs] + np.cumsum(inc)
-    return x
+        inc[:, 0] = dt * (f[:, :4] @ _W_FWD)
+        if m > 1:
+            end = f[:, m - 3 : m + 1] if m > 2 else np.hstack((f_prev[:, -2:-1], f[:, :3]))
+            inc[:, m - 1] = dt * (end @ _W_BWD)
+        x = np.empty((n_lanes, m + 1))
+        x[:, 0] = prev[:, -1]
+        x[:, 1:] = x[:, :1] + np.cumsum(inc, axis=1)
+        consume(cs, x, tc[:, : m + 1])
+        prev, f_prev = x, f
+
+
+def integrate_lanes(
+    lanes: Sequence[DdeParams], target: Target, t_end: float, consume: Consumer
+) -> None:
+    """Solve on [0, t_end] for several runs at once, one lane per run, and
+    stream the solution out chunk by chunk.
+
+    The lanes share gamma, tau and dt; each has its own history and target.
+    ``target`` and ``consume`` follow ``_integrate_grid``: ``target(lo, hi)``
+    gives every lane's target at nodes lo .. hi-1 (up to node n + 3 for
+    n = t_end / dt cells), and ``consume(cs, x, target)`` receives each
+    tau-chunk of the solution from node cs on.  No trajectory is kept.
+    """
+    if not lanes:
+        raise ConfigError("need at least one lane")
+    p = lanes[0]
+    if any((q.gamma, q.tau, q.dt) != (p.gamma, p.tau, p.dt) for q in lanes):
+        raise ConfigError("lanes must share gamma, tau and dt")
+    history = np.array([q.history_init for q in lanes], dtype=float)
+    _integrate_grid(p.gamma, p.tau, p.dt, history, _cells(t_end, p.dt), target, consume)
 
 
 def integrate_dde(
@@ -163,12 +209,19 @@ def integrate_dde(
     ``target_fn`` must be vectorized over a time array and return values in
     {1/4, 1/2}; the complementary track is 3/4 - target.
     """
-    n = int(round(t_end / params.dt))
+    n = _cells(t_end, params.dt)
     tgrid = params.dt * np.arange(n + 4)  # 3 trailing nodes feed the stencils
     target = np.asarray(target_fn(tgrid), dtype=float)
     if target.shape != tgrid.shape:
         raise ConfigError("target_fn must return one value per grid time")
-    x = _integrate_grid(params.gamma, params.tau, params.dt, params.history_init, target)
+    x = np.empty(n + 1)
+
+    def fill(cs: int, chunk: np.ndarray, _target: np.ndarray) -> None:
+        x[cs : cs + chunk.shape[1]] = chunk[0]
+
+    history = np.array([params.history_init], dtype=float)
+    _integrate_grid(params.gamma, params.tau, params.dt, history, n,
+                    lambda lo, hi: target[None, lo:hi], fill)
     target = target[: n + 1]
     diverged = bool(np.max(np.abs(x - target)) > DIVERGENCE_AMPLITUDE)
     return RhoDTrajectory(t0=0.0, dt=params.dt, rho_d=x, rho_target=target, diverged=diverged)

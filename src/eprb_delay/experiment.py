@@ -26,7 +26,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import states
-from .dde import DdeParams, RhoDTrajectory, integrate_dde
+from .dde import DdeParams, RhoDTrajectory, integrate_dde, integrate_lanes
 from .errors import ConfigError, ContractViolationError, InsufficientDataError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -185,9 +185,38 @@ def s_chsh_ideal(traj: RhoDTrajectory) -> float:
     return 8.0 * math.sqrt(2.0) / traj.duration * integral
 
 
+def s_chsh_per_seed(cfg: ExperimentConfig, seeds: Sequence[int]) -> np.ndarray:
+    """``s_chsh_ideal(simulate_rho_d(cfg))`` for each seed, in sorted seed
+    order (duplicates kept), up to round-off in the order of summation.
+
+    All seeds integrate together, one lane each, and S is accumulated chunk
+    by chunk, so no trajectory is kept.  Each lane's target is built from its
+    own toss stream at the same grid times as ``simulate_rho_d``.
+    """
+    seeds = sorted(int(s) for s in seeds)
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    cfg.validate()
+    n = int(round(cfg.duration / cfg.dt))
+    tgrid = cfg.dt * np.arange(n + 4)  # the grid of integrate_dde
+    alpha = np.empty((len(seeds), len(tgrid)), dtype=np.int8)
+    for lane, seed in zip(alpha, seeds):
+        lane[:] = settings_for(replace(cfg, seed=seed)).alpha_index_at(tgrid)
+    levels = np.asarray(TARGET_FOR_ALPHA)
+    lanes = [DdeParams(gamma=cfg.gamma, tau=cfg.tau, dt=cfg.dt, history_init=levels[a])
+             for a in alpha[:, 0]]
+    pieces = []
+
+    def integrate_chunk(cs: int, x: np.ndarray, target: np.ndarray) -> None:
+        pieces.append(np.trapezoid(np.abs(x - (0.75 - target)), dx=cfg.dt, axis=1))
+
+    integrate_lanes(lanes, lambda lo, hi: levels[alpha[:, lo:hi]], cfg.duration, integrate_chunk)
+    return 8.0 * math.sqrt(2.0) / (cfg.dt * n) * np.sum(pieces, axis=0)
+
+
 def s_chsh_for(cfg: ExperimentConfig, seeds: Sequence[int]) -> float:
-    values = [s_chsh_ideal(simulate_rho_d(replace(cfg, seed=int(s)))) for s in sorted(seeds)]
-    return float(np.mean(values))
+    """The seed-averaged ideal CHSH integral (see ``s_chsh_per_seed``)."""
+    return float(np.mean(s_chsh_per_seed(cfg, seeds)))
 
 
 def tune_gamma(
@@ -203,7 +232,8 @@ def tune_gamma(
 
     For mu*tau -> 0 any moderately damped gamma already tracks, so the lower
     bracket edge is returned as soon as it meets the tolerance.  A bracket
-    that does not straddle the target raises ConfigError.
+    that does not straddle the target, or an empty seed set, raises
+    ConfigError.
     """
 
     def s_of(gamma: float) -> float:

@@ -34,12 +34,16 @@ def _write_csv(path: Path, header: list[str], columns: Sequence) -> None:
         w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
-def _read_csv(path: Path, columns: dict[str, type]) -> list[np.ndarray]:
-    """The named columns of a CSV file, as arrays of the given types.
+def _read_csv(path: Path, columns: dict[str, type | tuple]) -> list[np.ndarray]:
+    """The named columns of a CSV file, as arrays.
 
-    The header must name every requested column and every row must have as
-    many cells as the header; a file that breaks either is a ConfigError.
+    A column is given by its type, or by the tuple of the only values it may
+    take.  The header must name every requested column, every row must have
+    as many cells as the header, every float must be finite and every value
+    of a tuple column one of the tuple's; a file that breaks any of these is
+    a ConfigError naming the line.
     """
+    kinds = [type(c[0]) if isinstance(c, tuple) else c for c in columns.values()]
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -49,17 +53,30 @@ def _read_csv(path: Path, columns: dict[str, type]) -> list[np.ndarray]:
         index = [header.index(c) for c in columns]
         blocks = []
         while rows := list(islice(reader, _BLOCK_ROWS)):
+            first = reader.line_num - len(rows) + 1  # the line of rows[0]
             if set(map(len, rows)) != {len(header)}:
                 k = next(k for k, r in enumerate(rows) if len(r) != len(header))
-                line = reader.line_num - len(rows) + k + 1
                 raise ConfigError(
-                    f"{path} line {line} has {len(rows[k])} cells, header has {len(header)}"
+                    f"{path} line {first + k} has {len(rows[k])} cells, header has {len(header)}"
                 )
             try:
-                blocks.append([np.array([r[i] for r in rows], dtype=kind)
-                               for i, kind in zip(index, columns.values())])
+                block = [np.array([r[i] for r in rows], dtype=kind)
+                         for i, kind in zip(index, kinds)]
             except ValueError as err:
                 raise ConfigError(f"{path}: {err}") from None
+            for (name, spec), col in zip(columns.items(), block):
+                if spec is float:
+                    bad, what = ~np.isfinite(col), "non-finite "
+                elif isinstance(spec, tuple):
+                    bad, what = ~np.isin(col, spec), "an invalid "
+                else:
+                    continue
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    raise ConfigError(
+                        f"{path} line {first + k} has {what}{name} {col[k].item()!r}"
+                    )
+            blocks.append(block)
     if not blocks:
         raise InsufficientDataError(f"no data rows in {path}")
     return [np.concatenate(col) for col in zip(*blocks)]
@@ -83,6 +100,8 @@ def read_trajectory_csv(path: Path) -> RhoDTrajectory:
 
 
 TAG_HEADER = ["t_seconds", "arm", "port", "setting_index"]
+ARM_VALUES = ("a", "b")
+PORT_VALUES = ("+", "-")
 
 
 def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = None) -> None:
@@ -93,8 +112,8 @@ def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = 
     sidecar = {
         "format": {
             "columns": TAG_HEADER,
-            "arm_values": ["a", "b"],
-            "port_values": ["+", "-"],
+            "arm_values": ARM_VALUES,
+            "port_values": PORT_VALUES,
             "setting_index": {
                 "a": "analyzer angle index: 0 -> 0 rad, 1 -> pi/4",
                 "b": "analyzer angle index: 0 -> pi/8, 1 -> 3*pi/8",
@@ -107,11 +126,8 @@ def write_tags_csv(path: Path, tags: TimeTagData, meta: dict[str, Any] | None = 
 
 
 def read_tags_csv(path: Path) -> TimeTagData:
-    t, arm, port, idx = _read_csv(path, dict(zip(TAG_HEADER, (float, str, str, int))))
-    bad = np.flatnonzero(~np.isfinite(t))
-    if len(bad):
-        # data row k is line k + 2, after the header
-        raise ConfigError(f"{path} line {bad[0] + 2} has non-finite t_seconds {t[bad[0]]}")
+    columns = (float, ARM_VALUES, PORT_VALUES, (0, 1))
+    t, arm, port, idx = _read_csv(path, dict(zip(TAG_HEADER, columns)))
     return TimeTagData(t=t, arm=arm, port=port, setting_index=idx)
 
 

@@ -104,6 +104,56 @@ def stepped_s_chsh(gamma: float, settings, samples_per_tau: int = 100) -> float:
     return 8.0 * math.sqrt(2.0) / duration * integral
 
 
+def stepped_grid(
+    gamma: float, tau: float, dt: float, history: float, target: np.ndarray
+) -> np.ndarray:
+    """The package's method-of-steps loop before it gained a lane axis: one
+    run, the whole trajectory in memory, x(t<=0) = history.
+
+    Advances x through n = len(target)-4 cells; ``target`` carries 3 extra
+    trailing nodes so the one-sided stencils of a short final chunk never run
+    out of data.  Kept as a regression oracle for the lane loop.
+    """
+    w_fwd = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0  # nodes m .. m+3
+    w_bwd = np.array([1.0, -5.0, 19.0, 9.0]) / 24.0  # nodes m-2 .. m+1
+    n = len(target) - 4
+    if n < 4:
+        raise ValueError("need at least 4 integration cells")
+    n_delay = round(tau / dt)
+    rate = -gamma / tau
+
+    x = np.empty(n + 1)
+    x[0] = history
+    f = np.empty(n + 4)
+
+    for cs in range(0, n, n_delay):
+        ce = min(cs + n_delay, n)
+        # RHS samples for this chunk; every delayed lookup is already known.
+        # A short final chunk (< 4 cells) borrows up to 3 trailing nodes so
+        # its one-sided stencils have data; their delayed indices still lie
+        # at least n_delay - 6 cells behind the solved region.
+        fe = ce + 3 if (ce == n and ce - cs < 4) else ce
+        js = np.arange(cs, fe + 1)
+        delayed = np.where(js >= n_delay, x[np.maximum(js - n_delay, 0)], history)
+        f[cs : fe + 1] = rate * (delayed - target[cs : fe + 1])
+
+        # solution kinks sit at the chunk boundaries, so no stencil may
+        # straddle them: forward rule for the first cell, backward for the
+        # last, centered in between -- every lookup stays in [cs, ce]
+        inc = np.empty(ce - cs)
+        m0, m1 = cs + 1, ce - 2
+        if m1 >= m0:
+            seg = f[m0 - 1 : m1 + 3]
+            inc[1 : m1 - cs + 1] = (dt / 24.0) * (
+                -seg[:-3] + 13.0 * seg[1:-2] + 13.0 * seg[2:-1] - seg[3:]
+            )
+        inc[0] = dt * (w_fwd @ f[cs : cs + 4])
+        if ce - 1 > cs:
+            inc[ce - 1 - cs] = dt * (w_bwd @ f[ce - 3 : ce + 1])
+        x[cs + 1 : ce + 1] = x[cs] + np.cumsum(inc)
+    return x
+
+
 def projector_2x2(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprb_delay import experiment as ex
 from eprb_delay.dde import (
     DdeParams,
     find_divergence_threshold,
     gamma_sweep,
     integrate_dde,
+    integrate_lanes,
     measure_step_response,
     step_response,
     step_trajectory,
 )
 from eprb_delay.errors import ConfigError
 
-from oracles import root_decay_period
+from oracles import root_decay_period, stepped_grid
 
 # dominant-root values computed by the Newton oracle (tests/oracles.py)
 ROOT_TABLE = {
@@ -198,3 +200,50 @@ def test_measure_requires_long_run():
     with pytest.raises(ConfigError):
         measure_step_response(short)
     assert measure_step_response(traj).period == pytest.approx(ROOT_TABLE[1.0][1], rel=0.02)
+
+
+@pytest.mark.parametrize("gamma, mu_tau, duration_tau, samples_per_tau", [
+    (0.9, 0.2, 2000.0, 100),
+    (1.53, 13.0, 50.03, 100),  # final chunk of 3 cells
+    (1.53, 13.0, 50.02, 100),  # 2 cells: the backward stencil reaches into the previous chunk
+    (1.2, 2.0, 300.0, 150),
+])
+def test_lane_loop_matches_pre_lane_oracle(gamma, mu_tau, duration_tau, samples_per_tau):
+    """One lane reproduces the pre-lane loop bit for bit; each lane of a
+    multi-lane run (one of them with mu = 0) stays within 1e-15 of it."""
+    cfgs = [ex.ExperimentConfig(gamma=gamma, tau=1.0, mu=mu, duration=duration_tau, seed=s,
+                                samples_per_tau=samples_per_tau)
+            for s, mu in ((0, mu_tau), (1, mu_tau), (2, 0.0))]
+    dt = cfgs[0].dt
+    n = int(round(duration_tau / dt))
+    targets = np.stack([ex.settings_for(c).target_at(dt * np.arange(n + 4)) for c in cfgs])
+    expected = [stepped_grid(gamma, 1.0, dt, tv[0], tv) for tv in targets]
+    for cfg, want in zip(cfgs, expected):
+        assert np.array_equal(ex.simulate_rho_d(cfg).rho_d, want)
+
+    x = np.empty((len(cfgs), n + 1))
+
+    def fill(cs, chunk, target):
+        np.testing.assert_array_equal(target, targets[:, cs : cs + chunk.shape[1]])
+        x[:, cs : cs + chunk.shape[1]] = chunk
+
+    lanes = [DdeParams(gamma, 1.0, dt, tv[0]) for tv in targets]
+    integrate_lanes(lanes, lambda lo, hi: targets[:, lo:hi], duration_tau, fill)
+    for lane, want in zip(x, expected):
+        assert np.abs(lane - want).max() <= 1e-15
+
+
+def test_lanes_validation():
+    params = DdeParams(gamma=1.0, tau=1.0, dt=0.01, history_init=0.25)
+
+    def target(lo, hi):  # two lanes
+        return np.full((2, hi - lo), 0.25)
+
+    with pytest.raises(ConfigError):
+        integrate_lanes([], target, 20.0, lambda *a: None)
+    with pytest.raises(ConfigError):  # lanes on different grids
+        integrate_lanes([params, DdeParams(1.0, 1.0, 0.005, 0.25)], target, 20.0, lambda *a: None)
+    with pytest.raises(ConfigError):  # one target row per lane
+        integrate_lanes([params] * 3, target, 20.0, lambda *a: None)
+    with pytest.raises(ConfigError):
+        integrate_lanes([params] * 2, target, 0.02, lambda *a: None)

@@ -145,6 +145,47 @@ class TestTuneGamma:
         s = ex.s_chsh_for(cfg, range(4))
         assert abs(s - S_QM) < 0.01
 
+    @staticmethod
+    def per_seed_reference(cfg, seeds):
+        """The seed average taken one whole trajectory at a time."""
+        return float(np.mean([ex.s_chsh_ideal(ex.simulate_rho_d(replace(cfg, seed=int(s))))
+                              for s in sorted(seeds)]))
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5284, 1.6])
+    def test_lane_s_matches_per_seed_reference(self, gamma):
+        cfg = ex.ExperimentConfig(gamma=gamma, tau=1.0, mu=13.0, duration=2000.0, seed=0)
+        seeds = (3, 1, 3, 0)
+        want = self.per_seed_reference(cfg, seeds)
+        assert ex.s_chsh_for(cfg, seeds) == pytest.approx(want, rel=1e-12, abs=0)
+        per_seed = ex.s_chsh_per_seed(cfg, seeds)
+        assert len(per_seed) == 4 and per_seed[2] == per_seed[3]  # seed 3 twice
+
+    def test_bisection_follows_per_seed_reference(self, monkeypatch):
+        lane_gain = ex.tune_gamma(13.0, seeds=range(4), duration_tau=1000.0)
+        lane_s_for = ex.s_chsh_for
+        steps = []
+
+        def reference(cfg, seeds):
+            want = self.per_seed_reference(cfg, seeds)
+            steps.append(lane_s_for(cfg, seeds) / want - 1.0)
+            return want
+
+        monkeypatch.setattr(ex, "s_chsh_for", reference)
+        assert ex.tune_gamma(13.0, seeds=range(4), duration_tau=1000.0) == lane_gain
+        assert len(steps) >= 3 and max(map(abs, steps)) < 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda: ex.s_chsh_for(ex.ExperimentConfig(1.0, 1.0, 13.0, 100.0, 0), []),
+        lambda: ex.tune_gamma(13.0, seeds=()),
+    ])
+    def test_empty_seed_set_raises_before_integrating(self, monkeypatch, call):
+        def no_integration(*args):
+            raise AssertionError("integrated with no seeds")
+
+        monkeypatch.setattr(ex, "integrate_lanes", no_integration)
+        with pytest.raises(ConfigError, match="at least one seed"):
+            call()
+
     def test_low_rate_returns_lower_edge(self):
         gamma = ex.tune_gamma(0.01, bracket=(0.8, 1.2), seeds=range(2), duration_tau=500.0)
         assert gamma == 0.8

@@ -296,6 +296,35 @@ def test_non_finite_tag_time_exits_2(tmp_path, capsys, inputs, command, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("column, value", [
+    ("arm", "x"), ("port", "?"), ("setting_index", "7"), ("setting_index", "-1"),
+])
+def test_invalid_tag_value_exits_2(tmp_path, capsys, inputs, column, value):
+    lines = inputs["tags"].read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[io.TAG_HEADER.index(column)] = value
+    lines[3] = ",".join(cells)
+    path = tmp_path / "tags.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["chsh", "--tags", str(path), "--window", "0.01",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} line 4 has an invalid {column}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("column, value", [("rho_d", "inf"), ("t", "nan"), ("rho_target", "-inf")])
+def test_non_finite_trajectory_cell_exits_2(tmp_path, capsys, inputs, column, value):
+    lines = inputs["trajectory"].read_text().splitlines()
+    cells = lines[-2].split(",")
+    cells[["t", "rho_d", "rho_target"].index(column)] = value
+    lines[-2] = ",".join(cells)
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} line {len(lines) - 1} has non-finite {column}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind, named, flags", [
     ("tags", "time-tag", ["--signal", "rho_d"]),
     ("trajectory", "trajectory", ["--welch-segments", "4"]),
