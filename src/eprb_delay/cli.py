@@ -1,7 +1,9 @@
 """Command-line front end: figure/number reproduction pipelines.
 
-Every command writes CSV/JSON artifacts plus a resolved_config.json into its
-output directory; identical configs and seeds give byte-identical outputs.
+Every command writes its artifacts plus a resolved_config.json into its
+output directory: trajectories and time tags as npz archives, everything
+else as CSV/JSON; identical configs and seeds give byte-identical outputs.
+``export`` writes only the CSV copy of an npz archive.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
@@ -40,7 +42,7 @@ class Param:
     """One run parameter of ``simulate``.
 
     ``key`` names it, in SI units, in the config file, in resolved_config.json
-    and in the ``config`` block of tags.csv.meta.json.  ``field`` is its
+    and in the ``config`` block of tags.npz.meta.json.  ``field`` is its
     ExperimentConfig field, None for a key of the run itself.  ``flag`` takes
     the SI value, ``alt_flag`` the value in the ``unit`` of ``_UNITS``.
     ``default`` is given only where ExperimentConfig has none; a parameter
@@ -185,7 +187,7 @@ def cmd_step(args) -> int:
     if tau != 1.0:
         traj = replace(traj, t0=traj.t0 * tau, dt=traj.dt * tau)
     out = _out_dir(args.out)
-    io.write_trajectory_csv(out / "trajectory.csv", traj)
+    io.write_trajectory_npz(out / "trajectory.npz", traj)
     io.write_json(
         out / "step_response.json",
         {
@@ -228,7 +230,7 @@ def cmd_simulate(args) -> int:
         s_values.append(s)
         sub = out / f"seed_{seed}" if len(seeds) > 1 else out
         sub.mkdir(parents=True, exist_ok=True)
-        io.write_trajectory_csv(sub / "trajectory.csv", traj, extras=True)
+        io.write_trajectory_npz(sub / "trajectory.npz", traj, extras=True)
         payload = {
             "seed": seed,
             "s_chsh_ideal": s,
@@ -236,7 +238,7 @@ def cmd_simulate(args) -> int:
         }
         if cfg.pair_rate is not None:
             tags = ex.generate_time_tags(cfg, traj)
-            io.write_tags_csv(sub / "tags.csv", tags, meta={"config": _cfg_dict(cfg)})
+            io.write_tags_npz(sub / "tags.npz", tags, meta={"config": _cfg_dict(cfg)})
             counts = ex.count_coincidences(tags, cfg.window)
             try:
                 est = ex.s_chsh_from_counts(counts)
@@ -271,7 +273,7 @@ def _reject_flags(args, names: tuple[str, ...], kind: str) -> None:
 
 def cmd_spectrum(args) -> int:
     tau = _resolve_tau(args)
-    data = io.read_series_csv(args.input)
+    data = io.load_series(args.input)
     if isinstance(data, ex.TimeTagData):
         _reject_flags(args, ("signal",), "time-tag")
         if args.welch_segments is None:
@@ -313,7 +315,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    tags = io.read_tags_csv(args.tags)
+    tags = io.load_tags(args.tags)
     counts = ex.count_coincidences(tags, args.window_seconds)
     est = ex.s_chsh_from_counts(counts)
     out = _out_dir(args.out)
@@ -339,6 +341,27 @@ def cmd_chsh(args) -> int:
         },
     )
     _write_resolved(out, vars(args))
+    return EXIT_OK
+
+
+def cmd_export(args) -> int:
+    """``<stem>.csv`` of an npz trajectory or tag archive (with the tag
+    sidecar's keys carried over); no resolved_config.json, so a run's own
+    directory can take the export."""
+    if args.input.suffix != ".npz":
+        raise ConfigError(f"export reads an .npz archive, not {args.input}")
+    data = io.load_series(args.input)
+    tags = isinstance(data, ex.TimeTagData)
+    if tags:
+        meta = io.read_meta(args.input)
+    else:
+        extras = io.TRAJECTORY_EXTRAS[0] in io.npz_arrays(args.input)
+    out = _out_dir(args.out)
+    path = out / f"{args.input.stem}.csv"
+    if tags:
+        io.write_tags_csv(path, data, meta=meta)
+    else:
+        io.write_trajectory_csv(path, data, extras=extras)
     return EXIT_OK
 
 
@@ -468,6 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_chsh)
+
+    q = sub.add_parser("export", help="CSV of an npz trajectory or tag archive")
+    q.add_argument("--input", type=Path, required=True)
+    q.add_argument("--out", required=True)
+    q.set_defaults(func=cmd_export)
 
     q = sub.add_parser("feasibility", help="station-separation rate arithmetic")
     q.add_argument("--length-m", type=float, required=True)

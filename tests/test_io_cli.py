@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +82,7 @@ class TestCli:
         assert payload["period_tau"] == pytest.approx(4.6986, abs=0.05)
         assert not payload["diverged"]
         assert (out / "resolved_config.json").exists()
-        assert (out / "trajectory.csv").exists()
+        assert (out / "trajectory.npz").exists()
 
     def test_step_divergent_flagged(self, tmp_path):
         out = tmp_path / "step16"
@@ -128,13 +130,13 @@ class TestCli:
         payload = json.loads((out / "schsh.json").read_text())
         assert 2.0 < payload["s_chsh_ideal"] < 2.83
         spec_out = tmp_path / "spec"
-        rc = cli.main(["spectrum", "--input", str(out / "trajectory.csv"),
+        rc = cli.main(["spectrum", "--input", str(out / "trajectory.npz"),
                        "--out", str(spec_out)])
         assert rc == 0
         peak = json.loads((spec_out / "peak.json").read_text())["peak"]
         assert peak is not None
         chsh_out = tmp_path / "chsh"
-        rc = cli.main(["chsh", "--tags", str(out / "tags.csv"), "--window", "0.01",
+        rc = cli.main(["chsh", "--tags", str(out / "tags.npz"), "--window", "0.01",
                        "--out", str(chsh_out)])
         assert rc == 0
         result = json.loads((chsh_out / "chsh.json").read_text())
@@ -153,7 +155,7 @@ class TestCli:
                   "--seed", "4", "--seeds", "2", "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seeds"] == [4, 5]
-        assert (out / "seed_4" / "trajectory.csv").exists()
+        assert (out / "seed_4" / "trajectory.npz").exists()
         assert (out / "seed_5" / "schsh.json").exists()
 
     def test_byte_identical_runs(self, tmp_path):
@@ -162,7 +164,7 @@ class TestCli:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cli.main(args + ["--out", str(out_a)])
         cli.main(args + ["--out", str(out_b)])
-        for name in ("trajectory.csv", "tags.csv", "schsh.json", "summary.json"):
+        for name in ("trajectory.npz", "tags.npz", "schsh.json", "summary.json"):
             assert read(out_a / name) == read(out_b / name), name
 
     def test_spectrum_input_without_rho_target_exits_2(self, tmp_path, capsys):
@@ -373,13 +375,222 @@ def test_spectrum_csv_units_match_peak(tmp_path):
     sim, spec = tmp_path / "sim", tmp_path / "spec"
     assert cli.main(["simulate", "--gamma", "0.9", "--mu-tau", "0.2", "--duration-tau", "500",
                      *tau, "--out", str(sim)]) == 0
-    assert cli.main(["spectrum", "--input", str(sim / "trajectory.csv"), *tau,
+    assert cli.main(["spectrum", "--input", str(sim / "trajectory.npz"), *tau,
                      "--out", str(spec)]) == 0
     peak = json.loads((spec / "peak.json").read_text())["peak"]
     rows = np.loadtxt(spec / "spectrum.csv", delimiter=",", skiprows=1)
     k = np.argmin(np.abs(rows[:, 0] - peak["frequency_per_tau"]))
     assert rows[k, 0] == pytest.approx(peak["frequency_per_tau"], rel=0.02)
     assert rows[k, 1] == pytest.approx(peak["frequency_hz"], rel=0.02)
+
+
+@pytest.fixture(scope="module")
+def npz_inputs(tmp_path_factory):
+    """The two kinds of spectrum input as npz archives, from the data of
+    ``inputs``."""
+    d = tmp_path_factory.mktemp("npz_inputs")
+    io.write_trajectory_npz(d / "trajectory.npz", step_trajectory(1.0, 60.0))
+    cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=300.0, seed=1,
+                              pair_rate=2.0)
+    io.write_tags_npz(d / "tags.npz", ex.generate_time_tags(cfg, ex.simulate_rho_d(cfg)))
+    return {"trajectory": d / "trajectory.npz", "tags": d / "tags.npz"}
+
+
+def _arrays(path) -> dict:
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _set(name, k, value):
+    def edit(arrays):
+        arrays[name] = arrays[name].astype(type(value))
+        arrays[name][k] = value
+    return edit
+
+
+# case -> (input kind, edit of its arrays in place, array the message names)
+NPZ_CASES = {
+    "missing array": ("tags", lambda a: a.pop("port"), "port"),
+    "unequal lengths": ("tags", lambda a: a.update(arm=a["arm"][:-1]), "arm"),
+    "nan t_seconds": ("tags", _set("t_seconds", -1, math.nan), "t_seconds"),
+    "inf t_seconds": ("tags", _set("t_seconds", 5, math.inf), "t_seconds"),
+    "nan rho_d": ("trajectory", _set("rho_d", -1, math.nan), "rho_d"),
+    "inf rho_d": ("trajectory", _set("rho_d", 5, -math.inf), "rho_d"),
+    "arm code 7": ("tags", _set("arm", 3, np.int8(7)), "arm"),
+    "port code 7": ("tags", _set("port", 3, np.int8(7)), "port"),
+    "setting_index code 7": ("tags", _set("setting_index", 3, np.int8(7)), "setting_index"),
+    "object array": ("tags", lambda a: a.update(arm=a["arm"].astype(object)), "arm"),
+    "missing t": ("trajectory", lambda a: a.pop("t"), "t"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case, (kind, _, _) in NPZ_CASES.items()
+    for command in (["chsh", "spectrum"] if kind == "tags" else ["spectrum"])
+])
+def test_malformed_npz_exits_2(tmp_path, capsys, npz_inputs, command, case):
+    kind, edit, name = NPZ_CASES[case]
+    arrays = _arrays(npz_inputs[kind])
+    edit(arrays)
+    path = tmp_path / f"{kind}.npz"
+    np.savez(path, **arrays)
+    argv = (["chsh", "--tags", str(path), "--window", "0.01"] if command == "chsh"
+            else ["spectrum", "--input", str(path)])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} " in err and repr(name) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["chsh", "spectrum", "export"])
+@pytest.mark.parametrize("content", [b"t_seconds,arm,port,setting_index\n", b"",
+                                     b"PK\x03\x04 truncated", "npy"])
+def test_npz_suffix_on_other_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "x.npz"
+    if content == "npy":
+        with path.open("wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_bytes(content)
+    argv = {"chsh": ["chsh", "--tags", str(path), "--window", "0.01"],
+            "spectrum": ["spectrum", "--input", str(path)],
+            "export": ["export", "--input", str(path)]}[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{path} is not an npz archive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _trajectory_file(tmp_path, fmt, t):
+    """A trajectory file at times ``t``."""
+    traj = dict(t=np.asarray(t, float), rho_d=np.full(len(t), 0.5),
+                rho_target=np.full(len(t), 0.5))
+    path = tmp_path / f"trajectory.{fmt}"
+    if fmt == "npz":
+        np.savez(path, **traj)
+    else:
+        path.write_text("t,rho_d,rho_target\n"
+                        + "".join(f"{x!r},0.5,0.5\n" for x in traj["t"].tolist()))
+    return path
+
+
+@pytest.mark.parametrize("fmt, where", [("csv", "line 4"), ("npz", "array 't' index 2")])
+@pytest.mark.parametrize("t, why", [
+    (0.01 * np.arange(3000) ** 2, "the grid step is 0.01"),
+    (np.r_[0.0, 0.01, 0.01, 0.03 + 0.01 * np.arange(3000)], "t must increase"),
+])
+def test_uneven_trajectory_exits_2(tmp_path, capsys, fmt, where, t, why):
+    path = _trajectory_file(tmp_path, fmt, t)
+    assert cli.main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} {where} has t " in err and why in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_one_row_trajectory_exits_2(tmp_path, capsys, fmt):
+    path = _trajectory_file(tmp_path, fmt, [0.0])
+    assert cli.main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path} holds one sample" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_tolerance_accepts_package_grids(tmp_path):
+    # tau scaling and long runs put rounding into the time step
+    for tau in (1.0, 1e-5):
+        traj = dde.step_trajectory(1.0, 2000.0)
+        traj = replace(traj, t0=traj.t0 * tau, dt=traj.dt * tau)
+        for fmt, write, read_ in (("npz", io.write_trajectory_npz, io.read_trajectory_npz),
+                                  ("csv", io.write_trajectory_csv, io.read_trajectory_csv)):
+            path = tmp_path / f"traj.{fmt}"
+            write(path, traj)
+            assert np.array_equal(read_(path).t, traj.t)
+
+
+class TestNpz:
+    def test_trajectory_round_trip(self, tmp_path):
+        cfg = ex.ExperimentConfig(gamma=0.9, tau=1e-5, mu=0.2e5, duration=300e-5, seed=1)
+        traj = ex.simulate_rho_d(cfg)
+        path = tmp_path / "trajectory.npz"
+        io.write_trajectory_npz(path, traj, extras=True)
+        back = io.read_trajectory_npz(path)
+        for name in ("t", "rho_d", "rho_target"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+        assert io.npz_arrays(path) == ["t", "rho_d", "rho_target", "rho_no_target",
+                                       "rho_d_clamped"]
+        assert np.array_equal(_arrays(path)["rho_d_clamped"], np.clip(traj.rho_d, 0.25, 0.5))
+
+    def test_tags_round_trip(self, tmp_path):
+        cfg = ex.ExperimentConfig(gamma=1.0, tau=1.0, mu=0.5, duration=100.0, seed=3,
+                                  pair_rate=2.0, coincidence_window=0.01)
+        tags = ex.generate_time_tags(cfg, ex.simulate_rho_d(cfg))
+        path = tmp_path / "tags.npz"
+        io.write_tags_npz(path, tags, meta={"config": {"seed": 3}})
+        back = io.read_tags_npz(path)
+        for name in ("t", "arm", "port", "setting_index"):
+            assert np.array_equal(getattr(back, name), getattr(tags, name)), name
+        assert set(back.arm.tolist()) == {"a", "b"} and set(back.port.tolist()) == {"+", "-"}
+        stored = _arrays(path)
+        assert [stored[n].dtype for n in io.TAG_HEADER] == [np.float64] + [np.int8] * 3
+        assert np.array_equal(stored["arm"], (tags.arm == "b").astype(np.int8))
+        meta = json.loads(path.with_suffix(".npz.meta.json").read_text())
+        assert meta["config"] == {"seed": 3}
+        assert meta["format"]["codes"]["port"] == {"0": "+", "1": "-"}
+        assert io.read_meta(path) == {"config": {"seed": 3}}
+
+
+class TestExport:
+    """``export`` of an npz artifact is the CSV of the in-memory run."""
+
+    def test_simulate_artifacts(self, tmp_path):
+        run, out = tmp_path / "run", tmp_path / "csv"
+        assert cli.main(["simulate", "--gamma", "0.9", "--mu-tau", "0.2", "--duration-tau",
+                         "300", "--seed", "7", "--pair-rate-tau", "1.0", "--out", str(run)]) == 0
+        for name in ("trajectory.npz", "tags.npz"):
+            assert cli.main(["export", "--input", str(run / name), "--out", str(out)]) == 0
+        cfg = ex.ExperimentConfig(gamma=0.9, tau=1.0, mu=0.2, duration=300.0, seed=7,
+                                  pair_rate=1.0)
+        traj = ex.simulate_rho_d(cfg)
+        want = tmp_path / "want"
+        want.mkdir()
+        io.write_trajectory_csv(want / "trajectory.csv", traj, extras=True)
+        config = json.loads((run / "tags.npz.meta.json").read_text())["config"]
+        io.write_tags_csv(want / "tags.csv", ex.generate_time_tags(cfg, traj),
+                          meta={"config": config})
+        assert sorted(p.name for p in out.iterdir()) == [
+            "tags.csv", "tags.csv.meta.json", "trajectory.csv"]
+        for name in ("trajectory.csv", "tags.csv", "tags.csv.meta.json"):
+            assert read(out / name) == read(want / name), name
+
+    def test_step_trajectory(self, tmp_path):
+        run, out = tmp_path / "run", tmp_path / "csv"
+        assert cli.main(["step", "--gamma", "1.0", "--tau-seconds", "1e-5",
+                         "--out", str(run)]) == 0
+        assert cli.main(["export", "--input", str(run / "trajectory.npz"),
+                         "--out", str(out)]) == 0
+        traj = step_trajectory(1.0, 60.0)
+        io.write_trajectory_csv(tmp_path / "want.csv",
+                                replace(traj, t0=traj.t0 * 1e-5, dt=traj.dt * 1e-5))
+        assert read(out / "trajectory.csv") == read(tmp_path / "want.csv")
+
+    def test_malformed_sidecar_exits_2(self, tmp_path, npz_inputs, capsys):
+        path = tmp_path / "tags.npz"
+        path.write_bytes(npz_inputs["tags"].read_bytes())
+        path.with_suffix(".npz.meta.json").write_text('{"config": ')
+        assert cli.main(["export", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "tags.npz.meta.json is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_input_exits_2(self, tmp_path, inputs):
+        assert cli.main(["export", "--input", str(inputs["tags"]),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_figures_script(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+    runpy.run_path(str(script))["main"](tmp_path / "out")
+    assert (tmp_path / "out" / "chsh_gamma09" / "chsh.json").is_file()
+    assert (tmp_path / "out" / "spectrum_gamma09" / "peak.json").is_file()
 
 
 class TestRunConfig:
@@ -403,7 +614,7 @@ class TestRunConfig:
         config = {"pair_rate_per_second": 2.0, "accidental_rate_per_second": 0.5}
         assert self.run(tmp_path, config, "--out", out) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
-        meta = json.loads((out / "tags.csv.meta.json").read_text())
+        meta = json.loads((out / "tags.npz.meta.json").read_text())
         assert resolved["accidental_rate_per_second"] == 0.5
         assert meta["config"]["accidental_rate_per_second"] == 0.5
 
